@@ -10,7 +10,9 @@ closest to S seconds.  It prints each metric with its unit and,
 as the last line, a JSON object {correct, attempted, failed, metrics}.
 With --trace 0 the metrics are the end-to-end ones; with --trace 1 every
 trial runs once untraced and once traced, and the metrics are the per-layer
-ones plus the tracing overhead.  Exit code 1 means a check failed, 2 that
+ones plus the tracing overhead.  Times are scaled to the host's reference
+speed by speed.py; the unscaled wall times are printed and recorded next
+to them.  Exit code 1 means a check failed, 2 that
 the program could not be imported.  A record of the run, with the spans of
 a traced run, is written to perfbench/out/.
 """
@@ -30,10 +32,12 @@ from importlib import metadata
 from pathlib import Path
 from time import perf_counter
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
 # per-layer metric -> (unit, span name, field of spans.summarize)
 PER_LAYER = {
@@ -81,57 +85,64 @@ def import_program():
     return genuslab
 
 
-def environment() -> dict:
+def environment(nproc: int, cpu: int) -> dict:
     from genuslab import _genus_search
 
     return {
         "search_backend": "numba" if _genus_search.HAVE_NUMBA else "python",
         "python": platform.python_version(),
         **{dist: metadata.version(dist) for dist in ("numpy", "scipy", "networkx")},
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": nproc,
+        "pinned_cpu": cpu,
     }
 
 
-def setup_seconds(workload: str, seed: int) -> list[float]:
-    """Wall time from spawning a fresh interpreter until it has imported
-    genuslab and built the workload's inputs, once per probe."""
+def setup_seconds(workload: str, seed: int, clock: speed.Clock) -> tuple[list[float], list[float]]:
+    """Time from spawning a fresh interpreter until it has imported genuslab
+    and built the workload's inputs, once per setup probe: (scaled to
+    reference speed by the loop readings just before and just after it,
+    wall)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
            "--seed", str(seed), "--setup-probe"]
-    samples = []
+    scaled, walls = [], []
+    before = clock.read()
     for _ in range(SETUP_PROBES):
         t0 = perf_counter()
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
         try:
             line = proc.stdout.readline()
-            samples.append(perf_counter() - t0)
+            wall = perf_counter() - t0
         finally:
             proc.stdout.close()
             if proc.wait(timeout=60) != 0 or line.strip() != "ready":
                 raise RuntimeError(f"setup probe failed with code {proc.returncode}")
-    return samples
+        after = clock.read()
+        scaled.append(wall * clock.scale(before, after))
+        walls.append(wall)
+        before = after
+    return scaled, walls
 
 
-def run_trial(workload, i: int):
-    """Run trial i's operations; returns (seconds, outputs, errors), with
-    None in outputs where an operation raised."""
-    ops = workload.operations(i)
-    outputs, errors = [], []
-    t0 = perf_counter()
-    for op in ops:
-        try:
-            outputs.append(op())
-        except Exception:  # a failed operation is counted, the run goes on
-            outputs.append(None)
-            errors.append(traceback.format_exc(limit=3))
-    return perf_counter() - t0, outputs, errors
+def run_trial(workload, i: int, clock: speed.Clock):
+    """Run trial i's operations; returns (the clock's indices of them,
+    outputs, errors), with None in outputs where an operation raised."""
+    ops, outputs, errors = [], [], []
+    for op in workload.operations(i):
+        out, k = clock.timed(op)
+        ops.append(k)
+        if isinstance(out, Exception):  # a failed operation is counted, the run goes on
+            errors.append("".join(traceback.format_exception(out, limit=3)))
+            out = None
+        outputs.append(out)
+    return ops, outputs, errors
 
 
-def measure(workload, seconds: float, traced: bool) -> dict:
+def measure(workload, seconds: float, traced: bool, clock: speed.Clock) -> dict:
     """Whole rounds of trials, as many as end closest to `seconds`."""
     from spans import Tracer, summarize
 
     tracer = Tracer()
-    times = {False: [], True: []}
+    ops = {False: [], True: []}
     trials, errors, span_log = [], [], []
     start = perf_counter()
     rounds = 0
@@ -143,14 +154,14 @@ def measure(workload, seconds: float, traced: bool) -> dict:
             for mode in modes:
                 if mode:
                     with tracer.installed():
-                        dt, outputs, errs = run_trial(workload, i)
+                        trial_ops, outputs, errs = run_trial(workload, i, clock)
                     spans = tracer.take()
                     summary = summarize(spans)
                     span_log.append({"round": rounds, "trial": i, "spans": spans})
                 else:
-                    dt, outputs, errs = run_trial(workload, i)
+                    trial_ops, outputs, errs = run_trial(workload, i, clock)
                     summary = None
-                times[mode].append(dt)
+                ops[mode].append(trial_ops)
                 trials.append((i, outputs, summary))
                 errors += errs
         rounds += 1
@@ -158,7 +169,11 @@ def measure(workload, seconds: float, traced: bool) -> dict:
         if elapsed + 0.5 * elapsed / rounds > seconds:
             break
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"times": times, "trials": trials, "errors": errors, "spans": span_log,
+    times = {mode: [sum(clock.seconds(k) for k in trial) for trial in trials_ops]
+             for mode, trials_ops in ops.items()}
+    walls = {mode: [sum(clock.wall(k) for k in trial) for trial in trials_ops]
+             for mode, trials_ops in ops.items()}
+    return {"times": times, "walls": walls, "trials": trials, "errors": errors, "spans": span_log,
             "rounds": rounds, "peak_rss_mb": peak_kb / 1024.0}
 
 
@@ -188,10 +203,11 @@ def run_one(args) -> int:
     from workloads import WORKLOADS
 
     cls = WORKLOADS[args.workload]
-    setup = [] if args.trace else setup_seconds(args.workload, args.seed)
+    clock = speed.Clock()
+    setup, setup_wall = ([], []) if args.trace else setup_seconds(args.workload, args.seed, clock)
     workload = cls(args.seed)
-    env = environment()
-    result = measure(workload, args.seconds, bool(args.trace))
+    env = environment(args.nproc, args.cpu)
+    result = measure(workload, args.seconds, bool(args.trace), clock)
     failures = workload.check(result["trials"])
     attempted = sum(len(outputs) for _, outputs, _ in result["trials"])
     failed = sum(out is None for _, outputs, _ in result["trials"] for out in outputs)
@@ -211,6 +227,11 @@ def run_one(args) -> int:
     print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds:g}  trace {args.trace}")
     print("ran " + "  ".join(f"{k} {v}" for k, v in env.items()))
     print(f"rounds {result['rounds']}  trials {len(result['trials'])}  attempted {attempted}  failed {failed}")
+    walls = result["walls"][False]
+    print(f"wall time, unscaled: trial p50 {statistics.median(walls):.6g} s"
+          + (f"  setup p50 {statistics.median(setup_wall):.6g} s" if setup_wall else "")
+          + f"  speed loop p50 {statistics.median(clock.readings) * 1000:.4g} ms"
+          + f" (reference {speed.REF_LOOP_S * 1000:.4g} ms)")
     for name, m in metrics.items():
         print(f"  {name:52s} {m['value']:.6g} {m['unit']}")
     for line in failures:
@@ -222,8 +243,10 @@ def run_one(args) -> int:
     out_dir.mkdir(exist_ok=True)
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
-        "environment": env, "setup_s": setup,
+        "environment": env, "setup_s": setup, "setup_wall_s": setup_wall,
         "trial_s": result["times"][False], "traced_trial_s": result["times"][True],
+        "trial_wall_s": result["walls"][False], "traced_trial_wall_s": result["walls"][True],
+        "speed_loop_s": clock.readings, "ref_loop_s": speed.REF_LOOP_S,
         "attempted": attempted, "failed": failed, "check_failures": failures,
         "errors": result["errors"], "metrics": metrics, "spans": result["spans"],
     }
@@ -270,6 +293,10 @@ def main(argv=None) -> int:
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
+    # pin before anything is imported or started, so that the program, the
+    # speed loop and every setup probe run on the same CPU
+    args.nproc = len(os.sched_getaffinity(0))
+    args.cpu = speed.pin_to_one_cpu()
     import_program()
     if args.workload == "all":
         return run_all(args)

@@ -78,7 +78,7 @@ class Supercritical(Workload):
     """supercritical_report(10**6, 31623, seed) with the default ell and a."""
 
     name = "supercritical"
-    round_size = 4
+    round_size = 12
     n, s = 10**6, 31623
 
     def __init__(self, seed: int):
