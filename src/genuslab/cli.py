@@ -285,23 +285,27 @@ def _cmd_generate(ns) -> int:
     return 0
 
 
+def _report_failure(ns, payload: dict) -> int:
+    """Write a budget failure as a JSON report and return exit code 1."""
+    _write_output(
+        {"config": _config_of(ns), "metadata": {}, "rows": [payload],
+         "summary": payload},
+        "json", ns.out,
+    )
+    return 1
+
+
 def _cmd_genus(ns) -> int:
     G = _load_input_graph(ns)
     if ns.mode == "exact":
         try:
             result = exact_genus(G, node_budget=ns.budget)
         except SearchBudgetError as exc:
-            payload = {
+            return _report_failure(ns, {
                 "error": "search budget exhausted",
                 "bounds": {"lower": exc.lower_bound, "upper": exc.upper_bound},
                 "visited": exc.nodes_explored,
-            }
-            _write_output(
-                {"config": _config_of(ns), "metadata": {}, "rows": [payload],
-                 "summary": payload},
-                "json", ns.out,
-            )
-            return 1
+            })
         payload = {
             "genus": result.genus,
             "f": result.face_count,
@@ -312,7 +316,7 @@ def _cmd_genus(ns) -> int:
             payload["faces"] = [list(face) for face in trace.faces]
     else:
         bounds = {
-            "lower": genus_lower_bound_short_cycles(G, ns.ell),
+            "lower": genus_lower_bound_short_cycles(G, ns.ell, cap=ns.cap),
             "upper": genus_upper_bound(G),
             "density_lower": genus_lower_bound_density(G),
         }
@@ -683,6 +687,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rotation search node budget (exact mode)")
     p.add_argument("--ell", type=int, default=4,
                    help="cycle census length for the lower bound (bounds mode)")
+    p.add_argument("--cap", type=int, default=10_000_000,
+                   help="most cycles the census may enumerate (bounds mode)")
     p.add_argument("--faces", action="store_true",
                    help="include the face walks of a minimum-genus rotation")
     _add_common(p)
@@ -791,6 +797,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
+    except CycleBudgetError as exc:
+        return _report_failure(ns, {"error": "cycle budget exhausted",
+                                    "cap": exc.cap, "max_length": exc.max_length})
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

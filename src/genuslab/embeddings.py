@@ -5,7 +5,7 @@ Tracing the orbits of the dart map (u, v) -> (v, successor of u at v) yields
 the faces of the corresponding cellular embedding, and the Euler formula
 recovers its genus.  Taking the minimum over all rotation systems gives the
 (orientable) genus of the graph; this module computes that minimum exactly by
-an exhaustive search organised block by block, and also provides the two
+a branch-and-bound search organised block by block, and also provides the two
 cheap Euler-formula bounds used on graphs far too large for the search.
 
 Face-count convention for disconnected graphs: the outer faces of the
@@ -21,8 +21,8 @@ component genera.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class SearchBudgetError(RuntimeError):
         self.upper_bound = upper_bound
         self.nodes_explored = nodes_explored
         super().__init__(
-            f"genus search budget exhausted after {nodes_explored} rotation systems; "
+            f"genus search budget exhausted after {nodes_explored} search nodes; "
             f"genus is in [{lower_bound}, {upper_bound}]"
         )
 
@@ -286,136 +286,58 @@ def _block_lower_bound(nv: int, ne: int, girth: int) -> int:
     return max(0, -((-num) // den))
 
 
-def _block_rows(
-    out_darts: list[list[int]], anchor: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[list[tuple[int, ...]]]]:
-    """Flatten per-vertex rotation candidate rows for the search kernel.
-
-    Row r of vertex i lists its outgoing darts in cyclic order, always
-    starting from its first dart.  At the anchor vertex only one of each
-    mirror pair of rotations is kept: reflecting the whole system reverses
-    every rotation and preserves the face structure, so dropping reflections
-    at a single vertex cannot lose the minimum.
-    """
-    nv = len(out_darts)
-    perms_per_vertex: list[list[tuple[int, ...]]] = []
-    for i in range(nv):
-        d = len(out_darts[i])
-        perms = list(permutations(range(1, d)))
-        if i == anchor and d >= 4:
-            perms = [p for p in perms if p <= p[::-1]]
-        perms_per_vertex.append(perms)
-    deg = np.array([len(o) for o in out_darts], dtype=np.int64)
-    row_count = np.array([len(p) for p in perms_per_vertex], dtype=np.int64)
-    row_offset = np.zeros(nv, dtype=np.int64)
-    total = 0
-    for i in range(nv):
-        row_offset[i] = total
-        total += int(row_count[i] * deg[i])
-    flat = np.empty(total, dtype=np.int64)
-    for i in range(nv):
-        base = out_darts[i]
-        off = int(row_offset[i])
-        d = int(deg[i])
-        for r, p in enumerate(perms_per_vertex[i]):
-            flat[off + r * d] = base[0]
-            for t, j in enumerate(p):
-                flat[off + r * d + 1 + t] = base[j]
-    return flat, row_offset, row_count, deg, perms_per_vertex
-
-
-def exact_genus(
-    graph: Graph, node_budget: int = 50_000_000, use_jit: bool | None = None
-) -> GenusResult:
-    """Minimum orientable genus by exhaustive search over rotation systems.
+def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
+    """Minimum orientable genus by branch-and-bound search over rotation systems.
 
     The graph is split into biconnected blocks (genus is additive over
-    blocks), each block is searched independently with an early exit once its
-    Euler-formula lower bound is attained, and the per-block rotations are
-    concatenated into a rotation system of the whole graph that realises the
-    minimum.  node_budget caps the total number of rotation systems traced
-    across all blocks; exceeding it raises SearchBudgetError carrying the
-    bracket proved so far.  use_jit selects the numba kernel explicitly
-    (None: use it when available).
+    blocks), each block is searched from its Euler girth bound upward (see
+    _genus_search), and the per-block rotations are concatenated into a
+    rotation system of the whole graph that realises the minimum.
+    node_budget caps the total number of search nodes (one vertex's rotation
+    fixed) across all blocks; exceeding it raises SearchBudgetError carrying
+    the bracket proved so far.
     """
-    if use_jit is None:
-        use_jit = _genus_search.HAVE_NUMBA
-    if use_jit and not _genus_search.HAVE_NUMBA:
-        raise RuntimeError("numba kernel requested but numba is not importable")
-    kernel = _genus_search.search_jit if use_jit else _genus_search.search_python
-
     arcs: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n)]
-    blocks = _biconnected_edge_blocks(graph)
-
-    # cheap blocks first so a budget overrun brackets as tightly as possible
-    searchable: list[tuple[float, list[tuple[int, int]]]] = []
-    for block in blocks:
+    # per block: (log of the rotation count, Euler girth bound, cycle-rank
+    # bound, vertices, out darts, dart heads, girth)
+    searchable = []
+    for block in _biconnected_edge_blocks(graph):
         if len(block) == 1:
             u, v = block[0]
             arcs[u].append((v,))
             arcs[v].append((u,))
             continue
-        degree_in_block: dict[int, int] = {}
-        for a, b in block:
-            degree_in_block[a] = degree_in_block.get(a, 0) + 1
-            degree_in_block[b] = degree_in_block.get(b, 0) + 1
-        space = 0.0  # log of the assignment count
-        for d in degree_in_block.values():
-            for k in range(2, d):
-                space += np.log(k)
-        searchable.append((space, block))
+        verts = sorted({x for e in block for x in e})
+        index = {x: i for i, x in enumerate(verts)}
+        out_darts: list[list[int]] = [[] for _ in verts]
+        heads = [0] * (2 * len(block))
+        for j, (a, b) in enumerate(block):
+            out_darts[index[a]].append(2 * j)
+            out_darts[index[b]].append(2 * j + 1)
+            heads[2 * j] = index[b]
+            heads[2 * j + 1] = index[a]
+        space = sum(math.lgamma(len(outs)) for outs in out_darts)
+        girth = _girth_upper([[heads[d] for d in outs] for outs in out_darts])
+        nv, ne = len(verts), len(block)
+        searchable.append((space, _block_lower_bound(nv, ne, girth),
+                           (ne - nv + 1) // 2, verts, out_darts, heads, girth))
+    # cheap blocks first so a budget overrun brackets as tightly as possible
     searchable.sort(key=lambda t: t[0])
 
     total_genus = 0
     total_nodes = 0
-    # (lb, ub) per searchable block, refined as blocks are processed
-    block_bounds: list[tuple[int, int]] = []
-    for _, block in searchable:
-        verts = sorted({x for e in block for x in e})
-        block_bounds.append((0, (len(block) - len(verts) + 1) // 2))
-
-    for bi, (_, block) in enumerate(searchable):
-        verts = sorted({x for e in block for x in e})
-        index = {x: i for i, x in enumerate(verts)}
-        ne = len(block)
-        nv = len(verts)
-        out_darts = [[] for _ in range(nv)]
-        heads = np.empty(2 * ne, dtype=np.int64)
-        for j, (a, b) in enumerate(block):
-            la, lb_ = index[a], index[b]
-            out_darts[la].append(2 * j)
-            out_darts[lb_].append(2 * j + 1)
-            heads[2 * j] = lb_
-            heads[2 * j + 1] = la
-        local_adj = [[int(heads[d]) for d in out_darts[i]] for i in range(nv)]
-        girth = _girth_upper(local_adj)
-        lower = _block_lower_bound(nv, ne, girth)
-        block_bounds[bi] = (lower, block_bounds[bi][1])
-        f_target = ne - nv + 2 - 2 * lower
-        anchor = max(range(nv), key=lambda i: len(out_darts[i]))
-        # put the anchor first so its digit moves slowest
-        order = [anchor] + [i for i in range(nv) if i != anchor]
-        darts_ordered = [out_darts[i] for i in order]
-        flat, row_offset, row_count, deg, perms = _block_rows(darts_ordered, 0)
-        budget = node_budget - total_nodes
-        if budget <= 0:
-            budget = 1
-        best_digits = np.zeros(nv, dtype=np.int64)
-        best_f, nodes, done = kernel(
-            2 * ne, flat, row_offset, row_count, deg, f_target, budget, best_digits
-        )
-        total_nodes += int(nodes)
-        achieved = (ne - nv + 2 - int(best_f)) // 2
-        if not done:
-            lo = total_genus + sum(b[0] for b in block_bounds[bi:])
-            hi = total_genus + achieved + sum(b[1] for b in block_bounds[bi + 1 :])
-            raise SearchBudgetError(lo, hi, total_nodes)
-        total_genus += achieved
-        for k, i in enumerate(order):
-            row = [darts_ordered[k][0]]
-            p = perms[k][int(best_digits[k])]
-            row += [darts_ordered[k][j] for j in p]
-            arcs[verts[i]].append(tuple(verts[int(heads[d])] for d in row))
+    for bi, (_, lower, _, verts, out_darts, heads, girth) in enumerate(searchable):
+        budget = max(1, node_budget - total_nodes)
+        lo, hi, darts, nodes = _genus_search.search_block(out_darts, girth, lower, budget)
+        total_nodes += nodes
+        if lo < hi:
+            rest = searchable[bi + 1 :]
+            raise SearchBudgetError(total_genus + lo + sum(b[1] for b in rest),
+                                    total_genus + hi + sum(b[2] for b in rest),
+                                    total_nodes)
+        total_genus += lo
+        for i, row in enumerate(darts):
+            arcs[verts[i]].append(tuple(verts[heads[d]] for d in row))
 
     rotation: Rotation = {
         v: tuple(w for arc in arcs[v] for w in arc) for v in range(graph.n)

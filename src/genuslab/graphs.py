@@ -30,6 +30,10 @@ class CycleBudgetError(RuntimeError):
         self.cap = cap
         self.max_length = max_length
 
+    def __reduce__(self):
+        # rebuild from the fields, so the error survives a worker process
+        return type(self), (self.cap, self.max_length)
+
 
 def _as_edge_array(edges) -> np.ndarray:
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,

@@ -15,7 +15,7 @@ U_SERIES = {
     2.0: 0.161902559472978714911800490494,
     4.0: 0.0190411495986010775121845732959,
     6.0: 0.00249746451922211982047833248842,
-    40.0: 4.248354255260951e-18,
+    40.0: 4.2483542552915893563e-18,
 }
 
 # derivative of the component fraction; exactly -1/2 on (0, 1]

@@ -55,6 +55,15 @@ def test_genus_bounds_shape(capsys) -> None:
     assert doc["summary"]["ell"] == 3
 
 
+def test_genus_bounds_cycle_budget_exits_one(capsys) -> None:
+    rc, doc = _run_json(capsys, ["genus", "bounds", "--fixture", "k6",
+                                 "--cap", "1"])
+    assert rc == 1
+    assert doc["summary"] == {"error": "cycle budget exhausted", "cap": 1,
+                              "max_length": 4}
+    assert doc["config"]["cap"] == 1
+
+
 def test_generate_then_bounds_round_trip(tmp_path, capsys) -> None:
     target = tmp_path / "g.edgelist"
     rc = main(["generate", "--model", "gnm", "--n", "30", "--m", "40",

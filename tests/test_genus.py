@@ -8,6 +8,8 @@ from genuslab import (
     complete_graph,
     exact_genus,
     genus_of_rotation,
+    gnm,
+    trial_rng,
     two_core,
 )
 
@@ -78,3 +80,48 @@ def test_budget_error_brackets_the_answer() -> None:
     e = err.value
     assert e.nodes_explored >= 50
     assert 0 <= e.lower_bound <= 1 <= e.upper_bound <= 5
+
+
+def test_every_budget_brackets_the_answer(fixtures) -> None:
+    graphs = {name: fixtures[name]
+              for name in ("k5", "k5_minus_edge", "k33", "q3", "petersen")}
+    # K3,3 plus an edge: Euler girth bound 0, genus 1, so a level is refuted
+    graphs["k33_plus_edge"] = Graph(6, [(0, 1), (0, 3), (1, 3), (2, 3), (0, 4),
+                                        (1, 4), (2, 4), (0, 5), (1, 5), (2, 5)])
+    for name, g in graphs.items():
+        full = exact_genus(g)
+        for budget in range(1, full.nodes_explored):
+            try:
+                res = exact_genus(g, node_budget=budget)
+                assert res.genus == full.genus
+                nodes = res.nodes_explored
+            except SearchBudgetError as e:
+                assert e.lower_bound <= full.genus <= e.upper_bound, (name, budget)
+                nodes = e.nodes_explored
+            # the budget plus at most one dive to a leaf
+            assert budget <= nodes <= budget + g.n, (name, budget)
+
+
+def test_k6_search_stays_far_below_full_enumeration() -> None:
+    # all 653,864 rotation systems of K6 would be traced without pruning
+    res = exact_genus(complete_graph(6))
+    assert (res.genus, res.face_count) == (1, 9)
+    assert res.nodes_explored < 100_000
+
+
+def test_planarity_agrees_with_networkx() -> None:
+    import networkx as nx
+
+    rng = trial_rng(2016, 1)
+    checked = 0
+    while checked < 80:
+        n = int(rng.integers(8, 13))
+        g = gnm(n, n + int(rng.integers(1, 7)), rng)
+        nxg = nx.Graph(g.edge_list())
+        nxg.add_nodes_from(range(n))
+        if not nx.is_biconnected(nxg):
+            continue
+        checked += 1
+        res = exact_genus(g)
+        assert (res.genus == 0) == nx.check_planarity(nxg)[0], g.edge_list()
+        assert genus_of_rotation(g, res.rotation) == res.genus

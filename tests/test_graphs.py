@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from genuslab import (
@@ -208,6 +210,9 @@ def test_cycle_budget_error_reports_limits() -> None:
         enumerate_cycles(complete_graph(7), 7, cap=10)
     assert err.value.cap == 10
     assert err.value.max_length == 7
+    # a worker process hands the error back pickled
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert (copy.cap, copy.max_length, str(copy)) == (10, 7, str(err.value))
 
 
 def test_edge_list_round_trip(tmp_path) -> None:
