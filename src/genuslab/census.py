@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .embeddings import genus_lower_bound_short_cycles, genus_upper_bound
+from .embeddings import genus_lower_bound_from_cycle_count, genus_upper_bound
 from .graphs import Graph, GraphError, enumerate_cycles, giant_component, two_core
 from .random_models import gnm
 
@@ -381,7 +381,7 @@ def supercritical_report(
         short_cycle_count=short_cycles,
         census_cycle_count=z_count,
         census_threshold=x,
-        genus_lower=genus_lower_bound_short_cycles(core, ell, cap=cap),
+        genus_lower=genus_lower_bound_from_cycle_count(core, ell, short_cycles),
         genus_upper=genus_upper_bound(core),
         predicted=predicted_genus(n, s),
     )

@@ -775,7 +775,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True,
                    help="number of random edges to add")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--ell", type=int, default=4,
+    p.add_argument("--ell", type=int, default=3,
                    help="cycle census length for the quotient lower bound")
     _add_common(p)
     p.set_defaults(func=_cmd_fragile)

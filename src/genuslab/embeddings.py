@@ -159,13 +159,22 @@ def genus_lower_bound_short_cycles(
     m - n + kappa nor the cycle census, so the value agrees with the bound on
     the 2-core whenever the graph has a cycle, and acyclic graphs return 0.
     """
+    acyclic = graph.m - graph.n + graph.component_count <= 0
+    short = 0 if acyclic else len(enumerate_cycles(graph, int(max_cycle_length), cap=cap))
+    return genus_lower_bound_from_cycle_count(graph, max_cycle_length, short)
+
+
+def genus_lower_bound_from_cycle_count(
+    graph: Graph, max_cycle_length: int, short: int
+) -> int:
+    """The bound of genus_lower_bound_short_cycles, given the number short
+    of cycles of length at most max_cycle_length in graph."""
     ell = int(max_cycle_length)
     if ell < 2:
         raise ValueError("max_cycle_length must be at least 2")
     rank = graph.m - graph.n + graph.component_count
     if rank <= 0:
         return 0
-    short = len(enumerate_cycles(graph, ell, cap=cap))
     # ceil over exact integers: F <= (2m + (ell-2)*2C) / (ell+1)
     num = (rank + 1) * (ell + 1) - 2 * graph.m - 2 * short * (ell - 2)
     den = 2 * (ell + 1)

@@ -233,7 +233,7 @@ def count_good_edges(d: PieceDecomposition, edges_in_order) -> int:
 
 
 def fragile_experiment(
-    H: Graph, Delta: int, k: int, seed=None, ell: int = 4
+    H: Graph, Delta: int, k: int, seed=None, ell: int = 3
 ) -> FragileReport:
     """Perturb H with k uniform random pairs and certify genus bounds.
 

@@ -45,6 +45,23 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr
 
 
+def _encode_pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Colex code hi*(hi-1)/2 + lo of the pairs lo < hi; sorting the codes
+    sorts the pairs by (hi, lo)."""
+    return hi * (hi - 1) // 2 + lo
+
+
+def _decode_pairs(codes: np.ndarray) -> np.ndarray:
+    """Colex code -> (k, 2) array of pairs (u, v) with u < v; exact for
+    codes below 2**52."""
+    c = codes.astype(np.float64)
+    v = ((1.0 + np.sqrt(8.0 * c + 1.0)) * 0.5).astype(np.int64)
+    v = np.where(v * (v - 1) // 2 > codes, v - 1, v)
+    v = np.where((v + 1) * v // 2 <= codes, v + 1, v)
+    u = codes - v * (v - 1) // 2
+    return np.column_stack([u, v])
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -66,15 +83,13 @@ class Graph:
                 raise GraphError("self-loops are not allowed")
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
-            codes = hi * (hi - 1) // 2 + lo
-            codes = np.sort(codes)
+            codes = _encode_pairs(lo, hi)
+            order = np.argsort(codes)
+            codes = codes[order]
             if codes.size > 1 and (codes[1:] == codes[:-1]).any():
                 raise GraphError("duplicate edges are not allowed")
-            hi = ((1.0 + np.sqrt(8.0 * codes.astype(np.float64) + 1.0)) * 0.5).astype(np.int64)
-            hi = np.where(hi * (hi - 1) // 2 > codes, hi - 1, hi)
-            hi = np.where((hi + 1) * hi // 2 <= codes, hi + 1, hi)
-            lo = codes - hi * (hi - 1) // 2
-            arr = np.column_stack([lo, hi])
+            arr = np.column_stack([lo[order], hi[order]])
+            del lo, hi, codes, order  # the CSR build below sets the memory peak
         self._n = n
         self._edges = arr
         self._edges.setflags(write=False)
@@ -208,50 +223,27 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
 def two_core(G: Graph) -> InducedSubgraph:
     """Maximal subgraph with minimum degree 2 (empty if none exists).
 
-    Peels degree-<2 vertices in vectorized rounds; a long chain of rounds
-    (deep pendant paths) falls back to a sequential queue peel.
+    Frontier peel over the CSR arrays: each round removes the live vertices
+    of degree below 2 and lowers the degrees of their live neighbours, which
+    form the next frontier when they drop below 2.  Only the darts of
+    removed vertices are read, so the whole peel is O(n + m) work; each
+    round also has a fixed cost, and a pendant path of length L takes
+    about L rounds.
     """
-    n = G.n
-    deg = G.degrees().astype(np.int64)
-    alive = deg >= 2
-    edges = G.edge_array
-    e_alive = np.ones(edges.shape[0], dtype=bool) if edges.size else np.zeros(0, dtype=bool)
-    rounds = 0
-    while True:
-        dead_end = e_alive & (~alive[edges[:, 0]] | ~alive[edges[:, 1]]) if edges.size else e_alive
-        if not dead_end.any():
-            break
-        dec = np.bincount(edges[dead_end].ravel(), minlength=n)
-        deg -= dec
-        e_alive &= ~dead_end
-        alive &= deg >= 2
-        rounds += 1
-        if rounds >= 64:
-            # sequential peel on the remnant; edges to vertices killed in the
-            # final vectorized round are dropped here, which already lowers
-            # the adjacency degrees the queue seeds from
-            live = edges[e_alive]
-            if live.size:
-                live = live[alive[live[:, 0]] & alive[live[:, 1]]]
-            adj = {int(v): set() for v in np.flatnonzero(alive)}
-            for u, v in live:
-                adj[int(u)].add(int(v))
-                adj[int(v)].add(int(u))
-            queue = [v for v, nb in adj.items() if len(nb) < 2]
-            dead = set()
-            while queue:
-                v = queue.pop()
-                if v in dead:
-                    continue
-                dead.add(v)
-                for w in adj[v]:
-                    adj[w].discard(v)
-                    if len(adj[w]) < 2 and w not in dead:
-                        queue.append(w)
-                adj[v] = set()
-            for v in dead:
-                alive[v] = False
-            break
+    ptr, ind = G._indptr, G._indices
+    deg = G.degrees()
+    alive = deg > 0  # isolated vertices have no darts to read
+    frontier = np.flatnonzero(deg == 1)
+    while frontier.size:
+        alive[frontier] = False
+        starts = ptr[frontier]
+        counts = ptr[frontier + 1] - starts
+        # dart positions of every frontier vertex, concatenated
+        darts = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        heads = ind[darts]
+        hit, drop = np.unique(heads[alive[heads]], return_counts=True)
+        deg[hit] -= drop
+        frontier = hit[deg[hit] < 2]
     return induced_subgraph(G, np.flatnonzero(alive))
 
 

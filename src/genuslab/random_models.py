@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _decode_pairs, _encode_pairs
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -23,16 +23,6 @@ def _rng_of(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _decode_pairs(codes: np.ndarray) -> np.ndarray:
-    """Colex code -> (u, v) with u < v; exact for codes below 2**52."""
-    c = codes.astype(np.float64)
-    v = ((1.0 + np.sqrt(8.0 * c + 1.0)) * 0.5).astype(np.int64)
-    v = np.where(v * (v - 1) // 2 > codes, v - 1, v)
-    v = np.where((v + 1) * v // 2 <= codes, v + 1, v)
-    u = codes - v * (v - 1) // 2
-    return np.column_stack([u, v])
 
 
 def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,10 +149,6 @@ def add_uniform_edges(G: Graph, k: int, seed=None) -> tuple[Graph, np.ndarray]:
     codes = _ordered_distinct(N, k, rng)
     added = _decode_pairs(codes)
     e = G.edge_array
-    if e.size:
-        own = e[:, 1] * (e[:, 1] - 1) // 2 + e[:, 0]
-        merged = np.unique(np.concatenate([own, codes]))
-    else:
-        merged = np.unique(codes)
+    merged = np.unique(np.concatenate([_encode_pairs(e[:, 0], e[:, 1]), codes]))
     combined = Graph(n, _decode_pairs(merged))
     return combined, added

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 
 import pytest
@@ -13,6 +14,8 @@ from genuslab import (
     cycle_graph,
     enumerate_cycles,
     find_small_excess_subgraph,
+    genus_lower_bound_short_cycles,
+    giant_component,
     gnm,
     neighborhood_bounds_hold,
     path_graph,
@@ -20,6 +23,7 @@ from genuslab import (
     predicted_core_vertices,
     predicted_genus,
     supercritical_report,
+    two_core,
 )
 from genuslab.corpus import census_showcase, theta_graph
 from brute_force import brute_classify, brute_excess_witness
@@ -177,6 +181,14 @@ def test_supercritical_report_in_window() -> None:
     assert rep.short_cycle_count >= 0
     assert rep.census_cycle_count >= 0
     assert rep.predicted == pytest.approx(8 * 500**3 / (3 * 3000**2))
+    # each field equals its standalone definition on the same sample
+    ell = max(3, 3000 // 500)
+    a = max(0.0, 0.5 * math.log(500**3 / 3000**2))
+    G = gnm(3000, 1500 + 500, seed=17)
+    core = two_core(giant_component(G).graph).graph
+    assert rep.short_cycle_count == len(enumerate_cycles(core, ell))
+    assert rep.genus_lower == genus_lower_bound_short_cycles(core, ell)
+    assert rep.census_cycle_count == count_census_cycles(G, 500, a)[0]
 
 
 def test_supercritical_report_warns_outside_window() -> None:

@@ -122,6 +122,22 @@ def test_two_core_survives_long_peel_cascade() -> None:
     assert list(core.old_labels) == list(range(100))
 
 
+def test_two_core_matches_networkx_k_core() -> None:
+    import networkx as nx
+
+    for n in (0, 1, 2, 5, 30, 200, 1000):
+        for m in (0, n // 3, n // 2, n, 2 * n):
+            m = min(m, n * (n - 1) // 2)
+            g = gnm(n, m, seed=1000 * n + m)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(g.edge_list())
+            expect = nx.k_core(nxg, 2)
+            core = two_core(g)
+            assert list(core.old_labels) == sorted(expect.nodes), (n, m)
+            assert core.graph.m == expect.number_of_edges(), (n, m)
+
+
 def test_giant_component_examples() -> None:
     g = Graph(4, [(0, 1), (1, 2), (0, 2)])
     giant = giant_component(g)
