@@ -18,8 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .embeddings import genus_lower_bound_from_cycle_count, genus_upper_bound
-from .graphs import Graph, GraphError, enumerate_cycles, giant_component, two_core
+from .graphs import Graph, GraphError, InducedSubgraph, enumerate_cycles, giant_component, two_core
 from .random_models import gnm
 
 
@@ -44,47 +46,23 @@ class CycleNeighborhood:
     neighbor_count: int
 
 
-def _tree_attached_once(
-    G: Graph, start: int, on_cycle: set[int], attach: dict[int, int]
-) -> tuple[bool, set[int]]:
-    """Explore the component of start in G - cycle, aborting early.
-
-    Returns (True, members) when the component is a tree joined to the cycle
-    by exactly one edge.  Aborts with (False, visited-so-far) as soon as a
-    second cycle edge or an internal cycle is seen; callers classify the
-    already-visited vertices by their own attachment counts and later starts
-    in the same component re-abort just as quickly.
-    """
-    parent = {start: -1}
-    queue = [start]
-    attach_edges = attach.get(start, 0)
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for x in G.neighbors(u).tolist():
-            if x in on_cycle:
-                continue
-            if x not in parent:
-                parent[x] = u
-                attach_edges += attach.get(x, 0)
-                if attach_edges > 1:
-                    return False, set(parent)
-                queue.append(x)
-            elif x != parent[u]:
-                # a visited non-parent neighbour closes an internal cycle
-                return False, set(parent)
-    return attach_edges == 1, set(parent)
-
-
-def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
+def classify_cycle_neighborhood(
+    G: Graph, cycle, core: InducedSubgraph | None = None
+) -> CycleNeighborhood:
     """Split the vertices adjacent to the given cycle into leaf trees, good
     neighbours, and bad neighbours.
 
     cycle is a sequence of distinct vertices with consecutive ones (and the
     last and first) adjacent in G.  Chords between cycle vertices are
     allowed and ignored; only the vertex set of the cycle matters for the
-    classification.
+    classification.  core is two_core(G), computed when omitted; the result
+    does not depend on it.
+
+    A cycle lies in the 2-core, so an outside vertex w attached to it by
+    exactly one edge roots a once-attached tree exactly when w is outside
+    the 2-core: a cycle in w's component of G - cycle, or a second edge
+    from that component back to the cycle, would put w on a cycle or on a
+    path between two cycles.  Only the leaf trees themselves are walked.
     """
     cyc = [int(v) for v in cycle]
     k = len(cyc)
@@ -97,45 +75,37 @@ def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
             raise GraphError(
                 f"not a cycle of the graph: missing edge {v}-{cyc[(idx + 1) % k]}"
             )
+    if core is None:
+        core = two_core(G)
     on_cycle = set(cyc)
     attach: dict[int, int] = {}
     for v in cyc:
         for w in G.neighbors(v).tolist():
             if w not in on_cycle:
                 attach[w] = attach.get(w, 0) + 1
+    once = np.array([w for w, c in attach.items() if c == 1], dtype=np.int64)
+    labels = core.old_labels  # sorted, and not empty: the cycle is in it
+    in_core = labels.take(np.searchsorted(labels, once), mode="clip") == once
 
     leaf_size = 0
-    tree_components = 0
-    good = 0
-    bad = 0
-    resolved: set[int] = set()
-    for w in sorted(attach):
-        if w in resolved:
-            continue
-        if attach[w] > 1:
-            bad += 1
-            resolved.add(w)
-            continue
-        is_tree, members = _tree_attached_once(G, w, on_cycle, attach)
-        if is_tree:
-            leaf_size += len(members)
-            tree_components += 1
-            resolved.update(members)
-        else:
-            for u in members:
-                if u in attach and u not in resolved:
-                    if attach[u] == 1:
-                        good += 1
-                    else:
-                        bad += 1
-                    resolved.add(u)
+    for root in once[~in_core].tolist():
+        # walk the pendant tree below root, never stepping back onto the cycle
+        stack = [(root, -1)]
+        while stack:
+            u, up = stack.pop()
+            leaf_size += 1
+            stack.extend((x, u) for x in G.neighbors(u).tolist()
+                         if x != up and x not in on_cycle)
+    good = int(in_core.sum())
+    tree_components = len(once) - good
+    bad = len(attach) - len(once)
     return CycleNeighborhood(
         cycle=tuple(cyc),
         leaf_size=leaf_size,
         good=good,
         bad=bad,
         tree_components=tree_components,
-        neighbor_count=good + bad + tree_components,
+        neighbor_count=len(attach),
     )
 
 
@@ -172,7 +142,7 @@ def count_census_cycles(
     count = 0
     for cyc in enumerate_cycles(core.graph, max_len, cap=cap):
         stats = classify_cycle_neighborhood(
-            G, [int(core.old_labels[v]) for v in cyc]
+            G, [int(core.old_labels[v]) for v in cyc], core
         )
         if (
             stats.bad == 0
@@ -283,7 +253,7 @@ def neighborhood_bounds_hold(
     nb_cap = a * a * n / s
     for cyc in enumerate_cycles(core.graph, max_len, cap=cap):
         stats = classify_cycle_neighborhood(
-            G, [int(core.old_labels[v]) for v in cyc]
+            G, [int(core.old_labels[v]) for v in cyc], core
         )
         if stats.leaf_size >= leaf_cap or stats.neighbor_count >= nb_cap:
             return False

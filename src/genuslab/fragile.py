@@ -20,7 +20,7 @@ from .embeddings import (
     perturbation_upper_bound,
 )
 from .graphs import Graph
-from .random_models import add_uniform_edges
+from .random_models import uniform_pairs
 
 
 class DecompositionError(ValueError):
@@ -252,8 +252,7 @@ def fragile_experiment(
     n = H.n
     l = -(-3 * Delta * n // k)
     upper = perturbation_upper_bound(genus_upper_bound(H), k)
-    combined, added = add_uniform_edges(H, k, seed)
-    del combined
+    added = uniform_pairs(n, k, seed)
     if k >= 6 * n:
         R_graph = Graph(n, added)
         lower = max(

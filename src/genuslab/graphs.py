@@ -66,7 +66,9 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Edges are normalized to (u, v) with u < v and stored sorted, so two
-    graphs with the same edge set have identical edge arrays.
+    graphs with the same edge set have identical edge arrays.  The CSR
+    adjacency is built by one sort of the dart keys tail*n + head, which
+    fit in int64 while n < 3*10^9.
     """
 
     __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp")
@@ -93,16 +95,12 @@ class Graph:
         self._n = n
         self._edges = arr
         self._edges.setflags(write=False)
-        # CSR adjacency over both dart directions; neighbor lists come out sorted
-        if arr.size:
-            tails = np.concatenate([arr[:, 0], arr[:, 1]])
-            heads = np.concatenate([arr[:, 1], arr[:, 0]])
-            order = np.lexsort((heads, tails))
-            self._indices = heads[order]
-            counts = np.bincount(tails, minlength=n)
-        else:
-            self._indices = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
+        # CSR adjacency over both dart directions; sorted dart keys leave
+        # every neighbor list sorted
+        keys = np.concatenate([arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
+        keys.sort()
+        self._indices = keys % n
+        counts = np.bincount(keys // n, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self._indptr = indptr

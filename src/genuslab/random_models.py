@@ -34,7 +34,12 @@ def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
     size = k + max(16, k // 8)
     buf = rng.integers(0, N, size=size, dtype=np.int64)
     while True:
-        _, first = np.unique(buf, return_index=True)
+        # first stream position of each distinct value: the least position
+        # in each run of equal values after an (unstable) argsort
+        order = np.argsort(buf)
+        runs = buf[order]
+        starts = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))
+        first = np.minimum.reduceat(order, starts)
         if len(first) >= k:
             first.sort()
             return buf[first[:k]]
@@ -49,8 +54,7 @@ def gnm(n: int, m: int, seed=None) -> Graph:
     N = n * (n - 1) // 2
     if m > N:
         raise GraphError(f"m={m} exceeds the {N} possible edges")
-    codes = _ordered_distinct(N, m, _rng_of(seed))
-    return Graph(n, _decode_pairs(codes))
+    return Graph(n, uniform_pairs(n, m, seed))
 
 
 def gnp(n: int, p: float, seed=None) -> Graph:
@@ -64,8 +68,7 @@ def gnp(n: int, p: float, seed=None) -> Graph:
     rng = _rng_of(seed)
     N = n * (n - 1) // 2
     m = int(rng.binomial(N, p)) if N else 0
-    codes = _ordered_distinct(N, m, rng)
-    return Graph(n, _decode_pairs(codes))
+    return Graph(n, uniform_pairs(n, m, rng))
 
 
 class EdgeProcess:
@@ -133,22 +136,24 @@ def kappa_trajectory(n: int, m_max: int, seed=None) -> np.ndarray:
     return out
 
 
+def uniform_pairs(n: int, k: int, seed=None) -> np.ndarray:
+    """k distinct vertex pairs drawn uniformly without replacement, as a
+    (k, 2) array of (u, v) with u < v in their random draw order."""
+    N = n * (n - 1) // 2
+    if k < 0 or k > N:
+        raise GraphError(f"k must be between 0 and {N}")
+    return _decode_pairs(_ordered_distinct(N, k, _rng_of(seed)))
+
+
 def add_uniform_edges(G: Graph, k: int, seed=None) -> tuple[Graph, np.ndarray]:
     """Union G with k vertex pairs drawn uniformly without replacement.
 
     The added set is a uniform k-subset of all n(n-1)/2 pairs, independent
     of G; pairs already present in G are absorbed by the union, so the
     result has at most m + k edges.  Returns (augmented graph, (k, 2) array
-    of the drawn pairs in their random insertion order).
+    of the drawn pairs in their random insertion order), the pairs being
+    uniform_pairs(G.n, k, seed).
     """
-    n = G.n
-    N = n * (n - 1) // 2
-    if k < 0 or k > N:
-        raise GraphError(f"k must be between 0 and {N}")
-    rng = _rng_of(seed)
-    codes = _ordered_distinct(N, k, rng)
-    added = _decode_pairs(codes)
-    e = G.edge_array
-    merged = np.unique(np.concatenate([_encode_pairs(e[:, 0], e[:, 1]), codes]))
-    combined = Graph(n, _decode_pairs(merged))
-    return combined, added
+    added = uniform_pairs(G.n, k, seed)
+    merged = np.unique(_encode_pairs(*np.concatenate([G.edge_array, added]).T))
+    return Graph(G.n, _decode_pairs(merged)), added

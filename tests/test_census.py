@@ -99,6 +99,32 @@ def test_classifier_matches_brute_force_on_random_graphs() -> None:
             assert got == brute_classify(g, cyc)
 
 
+def test_classification_by_core_matches_brute_force() -> None:
+    # a unicyclic triangle with a leaf, and a 4-cycle joined by the path
+    # 7-8-9 to a triangle, with the tree 12-13 hanging off the core vertex 8
+    g = Graph(15, [(0, 1), (1, 2), (0, 2), (2, 3),
+                   (4, 5), (5, 6), (6, 7), (4, 7), (7, 8), (8, 9),
+                   (9, 10), (10, 11), (9, 11), (8, 12), (12, 13), (5, 14)])
+    expect = {(0, 1, 2): (1, 0, 0, 1, 1), (4, 5, 6, 7): (1, 1, 0, 1, 2),
+              (9, 10, 11): (0, 1, 0, 0, 1)}
+    cases = [(g, list(expect))]
+    for t in range(16):
+        n = 30 + 2 * t
+        m = n // 2 + (t * (4 * n // 3 - n // 2)) // 15
+        h = gnm(n, m, seed=(59, t))
+        cases.append((h, enumerate_cycles(h, 8)))
+    for h, cycles in cases:
+        core = two_core(h)
+        for cyc in cycles:
+            cn = classify_cycle_neighborhood(h, cyc)
+            assert classify_cycle_neighborhood(h, cyc, core) == cn
+            got = (cn.leaf_size, cn.good, cn.bad, cn.tree_components,
+                   cn.neighbor_count)
+            assert got == brute_classify(h, cyc)
+            if h is g:
+                assert got == expect[cyc]
+
+
 def test_census_count_small_graphs_and_threshold() -> None:
     import math
     g = Graph(20, [(i, i + 1) for i in range(19)] + [(0, 4)])

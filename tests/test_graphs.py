@@ -138,6 +138,30 @@ def test_two_core_matches_networkx_k_core() -> None:
             assert core.graph.m == expect.number_of_edges(), (n, m)
 
 
+def test_csr_matches_networkx_adjacency() -> None:
+    import networkx as nx
+    import numpy as np
+
+    rng = np.random.default_rng(41)
+    cases = [(10, [(5, 1), (0, 3), (1, 0), (4, 2)])]  # vertices 6..9 isolated
+    for n in (0, 1, 2, 7, 500):
+        for m in (0, n // 2, n, 2 * n):
+            edges = gnm(n, min(m, n * (n - 1) // 2), seed=7 * n + m).edge_array.copy()
+            flip = rng.random(len(edges)) < 0.5
+            edges[flip] = edges[flip][:, ::-1]
+            cases.append((n, edges[rng.permutation(len(edges))].tolist()))
+    for n, edges in cases:
+        g = Graph(n, edges)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        assert len(g._indptr) == n + 1
+        assert g._indptr[0] == 0 and g._indptr[-1] == 2 * nxg.number_of_edges()
+        assert g.degrees().tolist() == [nxg.degree(v) for v in range(n)]
+        for v in range(n):
+            assert g.neighbors(v).tolist() == sorted(nxg.adj[v]), (n, v)
+
+
 def test_giant_component_examples() -> None:
     g = Graph(4, [(0, 1), (1, 2), (0, 2)])
     giant = giant_component(g)

@@ -15,6 +15,7 @@ from genuslab import (
     path_graph,
     trial_rng,
 )
+from genuslab.random_models import _ordered_distinct
 
 
 def test_gnm_deterministic_per_seed() -> None:
@@ -48,6 +49,31 @@ def test_gnp_degenerate_probabilities() -> None:
         gnp(10, 1.5, seed=1)
     with pytest.raises(GraphError):
         gnp(10, -0.1, seed=1)
+
+
+def test_ordered_distinct_matches_a_stream_scan() -> None:
+    def scan(N, k, rng):
+        # the same buffers, scanned one value at a time in stream order
+        seen, out, drawn, buffers = set(), [], 0, 0
+        size = k + max(16, k // 8)
+        while len(out) < k:
+            for x in rng.integers(0, N, size=size, dtype=np.int64).tolist():
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+            drawn += size
+            buffers += 1
+            size = max(drawn, 4 * (k - len(out)) + 64)
+        return out[:k], buffers
+
+    for N, k in ((10, 10), (50, 40), (1000, 900)):
+        refills = 0
+        for seed in range(5):
+            expect, buffers = scan(N, k, np.random.default_rng(seed))
+            refills += buffers > 1
+            got = _ordered_distinct(N, k, np.random.default_rng(seed))
+            assert got.tolist() == expect, (N, k, seed)
+        assert refills, (N, k)  # the refill loop ran
 
 
 def test_edge_process_draws_every_pair_once() -> None:
