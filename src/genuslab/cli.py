@@ -25,6 +25,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .acceptance import (
+    KAPPA_LAMBDAS,
+    ORACLE_EXPECTED,
+    core_excess_checks,
+    fragile_checks,
+    genus_per_edge_checks,
+    genus_upper_checks,
+    kappa_checks,
+    oracle_checks,
+    subcritical_identity_checks,
+)
 from .asymptotics import (
     component_fraction,
     component_fraction_derivative,
@@ -482,75 +493,29 @@ def _cmd_fragile(ns) -> int:
     return 0
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
 def _suite_asymptotics(ns) -> list[dict]:
-    checks = []
-    grid = [j / 100.0 for j in range(101)]
-    worst = max(abs(component_fraction(c) - (1.0 - c / 2.0)) for c in grid)
-    checks.append(_check("subcritical_series_identity", worst < 1e-9,
-                         f"max |u(c)-(1-c/2)| = {worst:.3e}"))
-    mu_half = genus_per_edge(0.5)
-    checks.append(_check("genus_per_edge_zero_at_half", abs(mu_half) < 1e-9,
-                         f"mu(0.5) = {mu_half:.3e}"))
-    lams = [0.5 + 0.1 * j for j in range(196)]
-    vals = [genus_per_edge(l) for l in lams]
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    checks.append(_check("genus_per_edge_increasing", min(diffs) > -1e-12,
-                         f"min successive difference = {min(diffs):.3e}"))
-    checks.append(_check("genus_per_edge_at_20", 0.45 < vals[-1] < 0.5,
-                         f"mu(20) = {vals[-1]:.12f}"))
-    h = 1e-3
-    worst_d = 0.0
-    for c in (0.8, 1.5, 3.0):
-        central = (component_fraction(c + h) - component_fraction(c - h)) / (2 * h)
-        worst_d = max(worst_d, abs(component_fraction_derivative(c) - central))
-    checks.append(_check("derivative_matches_central_difference", worst_d < 1e-6,
-                         f"max |analytic - central| = {worst_d:.3e}"))
-    return checks
+    return subcritical_identity_checks() + genus_per_edge_checks()
 
 
 def _suite_mc_kappa(ns) -> list[dict]:
     n = ns.n or 100_000
     trials = ns.trials or 10
-    checks = []
-    for li, lam in enumerate((0.25, 0.5, 1.0, 2.0)):
-        worst = 0.0
-        for t in range(trials):
-            row, _ = _kappa_trial((n, lam, ns.seed, li * trials + t, t))
-            worst = max(worst, row["abs_deviation"])
-        checks.append(_check(
-            f"kappa_concentration_lambda_{lam}", worst < 0.01,
-            f"max |kappa/n - u(2*lambda)| over {trials} trials = {worst:.5f}",
-        ))
-    return checks
+    deviations = {
+        lam: [
+            _kappa_trial((n, lam, ns.seed, li * trials + t, t))[0]["abs_deviation"]
+            for t in range(trials)
+        ]
+        for li, lam in enumerate(KAPPA_LAMBDAS)
+    }
+    return kappa_checks(deviations)
 
 
 def _suite_supercritical(ns) -> list[dict]:
     n = ns.n or 1_000_000
     trials = ns.trials or 10
     s = ns.s or int(round(n**0.75))
-    rows = []
-    for i in range(trials):
-        row, _ = _census_trial((n, s, None, None, 10_000_000, ns.seed, i))
-        rows.append(row)
-    mean_excess = float(np.mean([r["core_excess"] for r in rows]))
-    pred_excess = predicted_core_excess(n, s)
-    mean_upper = float(np.mean([r["genus_upper"] for r in rows]))
-    pred_genus = rows[0]["predicted"]
-    band = 0.25 * pred_genus + mean_excess / 6.0
-    checks = [
-        _check("core_excess_matches_prediction",
-               abs(mean_excess - pred_excess) <= 0.25 * pred_excess,
-               f"mean excess {mean_excess:.1f} vs predicted {pred_excess:.1f}"),
-        _check("core_genus_upper_in_band",
-               abs(mean_upper - pred_genus) <= band,
-               f"mean upper {mean_upper:.1f} vs predicted {pred_genus:.1f} "
-               f"(band {band:.1f})"),
-    ]
-    return checks
+    reports = [supercritical_report(n, s, trial_rng(ns.seed, i)) for i in range(trials)]
+    return core_excess_checks(reports) + genus_upper_checks(reports)
 
 
 def _suite_fragile(ns) -> list[dict]:
@@ -562,54 +527,12 @@ def _suite_fragile(ns) -> list[dict]:
         fragile_experiment(H, 2, k, trial_rng(ns.seed, i + 1), ell=3)
         for i in range(trials)
     ]
-    lo_t = (n - reports[0].l * 2) / (reports[0].l * 4)
-    hi_t = n / (reports[0].l * 2)
-    t_ok = all(lo_t <= r.t <= hi_t for r in reports)
-    enough_edges = sum(1 for r in reports if r.gamma_edges >= r.t)
-    positive = sum(1 for r in reports if r.genus_lower_gamma > 0)
-    mean_lower = float(np.mean([r.genus_lower_gamma for r in reports]))
-    mean_t = float(np.mean([r.t for r in reports]))
-    checks = [
-        _check("piece_count_in_interval", t_ok,
-               f"t values in [{lo_t:.1f}, {hi_t:.1f}]"),
-        _check("quotient_has_enough_edges", enough_edges >= trials - 1,
-               f"gamma_edges >= t in {enough_edges}/{trials} trials"),
-        _check("quotient_genus_positive", positive >= trials - 1,
-               f"positive lower bound in {positive}/{trials} trials"),
-        _check("quotient_genus_mean", mean_lower >= 0.02 * mean_t,
-               f"mean lower bound {mean_lower:.1f} vs 0.02*t = {0.02 * mean_t:.1f}"),
-        _check("upper_bound_at_most_k",
-               all(r.upper_bound <= k for r in reports),
-               f"max upper bound {max(r.upper_bound for r in reports)}"),
-    ]
-    return checks
+    return fragile_checks(reports, n, k, 2)
 
 
 def _suite_oracle(ns) -> list[dict]:
     fixtures = named_fixtures()
-    expected = {
-        "k5": (1, 5),
-        "c5": (0, 2),
-        "c5_chord": (0, 3),
-        "k5_minus_edge": (0, 6),
-        "k33": (1, None),
-        "k6": (1, None),
-        "q3": (0, None),
-    }
-    checks = []
-    for name, (genus, faces) in expected.items():
-        G = fixtures[name]
-        result = exact_genus(G)
-        ok = result.genus == genus and (faces is None or result.face_count == faces)
-        density = genus_lower_bound_density(G)
-        ok = ok and density <= result.genus
-        detail = (
-            f"genus {result.genus} (want {genus}), f {result.face_count}"
-            + ("" if faces is None else f" (want {faces})")
-            + f", density lower bound {density}"
-        )
-        checks.append(_check(f"oracle_{name}", ok, detail))
-    return checks
+    return oracle_checks({name: exact_genus(fixtures[name]) for name in ORACLE_EXPECTED})
 
 
 _SUITES = {

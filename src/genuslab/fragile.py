@@ -19,7 +19,7 @@ from .embeddings import (
     genus_upper_bound,
     perturbation_upper_bound,
 )
-from .graphs import Graph
+from .graphs import Graph, _as_edge_array, _contract_edges
 from .random_models import uniform_pairs
 
 
@@ -56,6 +56,8 @@ class FragileReport:
     decomposition is bypassed and t, s, gamma_edges, good_edge_count are
     reported as 0) it is the Euler-formula bound on the random edges alone.
     upper_bound is the base graph's genus bound plus one per added edge.
+    good_edge_count, the number of added edges that join a new pair of
+    cores, always equals gamma_edges.
     """
 
     n: int
@@ -179,16 +181,6 @@ def select_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
     )
 
 
-def _core_owner(d: PieceDecomposition) -> dict[int, int]:
-    if not d.cores:
-        raise DecompositionError("cores have not been selected")
-    owner: dict[int, int] = {}
-    for i, core in enumerate(d.cores):
-        for v in core:
-            owner[v] = i
-    return owner
-
-
 def build_quotient(d: PieceDecomposition, edges) -> Graph:
     """Graph on the piece indices 0..t-1, joining i and j when some given
     edge runs between core U_i and core U_j.
@@ -199,37 +191,21 @@ def build_quotient(d: PieceDecomposition, edges) -> Graph:
     the base graph, the result is a minor of the union of base graph and
     given edges, and its genus is a valid lower bound for that union.
     """
-    owner = _core_owner(d)
-    pairs: set[tuple[int, int]] = set()
-    for a, b in edges:
-        ia = owner.get(int(a))
-        ib = owner.get(int(b))
-        if ia is None or ib is None or ia == ib:
-            continue
-        pairs.add((ia, ib) if ia < ib else (ib, ia))
-    return Graph(d.t, sorted(pairs))
+    if not d.cores:
+        raise DecompositionError("cores have not been selected")
+    pairs = _as_edge_array(edges)
+    n = 1 + max(int(pairs.max(initial=0)), max(max(core) for core in d.cores))
+    return _contract_edges(n, pairs, d.cores)
 
 
 def count_good_edges(d: PieceDecomposition, edges_in_order) -> int:
     """Count the edges that join two distinct cores no earlier edge joined.
 
     Scanning in insertion order, an edge is good when both endpoints lie in
-    cores, the cores differ, and the pair of cores is new.  The count
-    equals the quotient's edge count over the same edge sequence.
+    cores, the cores differ, and the pair of cores is new, so the count is
+    the edge count of the quotient over the same edges.
     """
-    owner = _core_owner(d)
-    seen: set[tuple[int, int]] = set()
-    count = 0
-    for a, b in edges_in_order:
-        ia = owner.get(int(a))
-        ib = owner.get(int(b))
-        if ia is None or ib is None or ia == ib:
-            continue
-        key = (ia, ib) if ia < ib else (ib, ia)
-        if key not in seen:
-            seen.add(key)
-            count += 1
-    return count
+    return build_quotient(d, edges_in_order).m
 
 
 def fragile_experiment(
@@ -272,11 +248,10 @@ def fragile_experiment(
             f"piece count {d.t} escaped its guaranteed interval "
             f"[{lo_t:.2f}, {hi_t:.2f}]"
         )
-    good = count_good_edges(d, added)
     gamma = build_quotient(d, added)
     return FragileReport(
         n=n, k=k, Delta=Delta, l=l, t=d.t, s=d.s,
-        gamma_edges=gamma.m, good_edge_count=good,
+        gamma_edges=gamma.m, good_edge_count=gamma.m,
         genus_lower_gamma=genus_lower_bound_short_cycles(gamma, ell),
         upper_bound=upper, seed=seed,
     )

@@ -270,29 +270,32 @@ def contract_sets(G: Graph, sets) -> Graph:
     collapse, so the result is a simple graph on len(sets) vertices.  When
     each set induces a connected subgraph, the result is a minor of G.
     """
-    part = np.full(G.n, -1, dtype=np.int64)
+    return _contract_edges(G.n, G.edge_array, sets)
+
+
+def _contract_edges(n: int, edges: np.ndarray, sets) -> Graph:
+    """contract_sets of the graph on 0..n-1 whose edges are the (k, 2) array
+    edges, which may repeat a pair or list it in either orientation."""
+    part = np.full(n, -1, dtype=np.int64)
     count = 0
     for i, s in enumerate(sets):
         members = np.asarray(list(s) if not isinstance(s, np.ndarray) else s, dtype=np.int64)
         if members.size == 0:
             raise GraphError("contraction sets must be nonempty")
-        if members.min() < 0 or members.max() >= G.n:
+        if members.min() < 0 or members.max() >= n:
             raise GraphError("vertex out of range")
         if (part[members] >= 0).any():
             raise GraphError("contraction sets must be disjoint")
         part[members] = i
         count = i + 1
-    e = G.edge_array
-    if e.size:
-        a = part[e[:, 0]]
-        b = part[e[:, 1]]
-        mask = (a >= 0) & (b >= 0) & (a != b)
-        qe = np.column_stack([np.minimum(a[mask], b[mask]), np.maximum(a[mask], b[mask])])
-        if qe.size:
-            qe = np.unique(qe, axis=0)
-    else:
-        qe = e
-    return Graph(count, qe)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise GraphError("edge endpoint out of range")
+    a = part[edges[:, 0]]
+    b = part[edges[:, 1]]
+    keep = (a >= 0) & (b >= 0) & (a != b)
+    a, b = a[keep], b[keep]
+    codes = np.unique(_encode_pairs(np.minimum(a, b), np.maximum(a, b)))
+    return Graph(count, _decode_pairs(codes))
 
 
 def enumerate_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:

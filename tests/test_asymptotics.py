@@ -92,6 +92,24 @@ def test_cycle_count_limit_matches_frozen_oracle() -> None:
         assert cycle_count_limit(i) == pytest.approx(want, abs=1e-6)
 
 
+def test_cycle_count_limit_matches_mpmath_shi_and_double_integral() -> None:
+    import mpmath as mp
+
+    fp = mp.fp
+
+    def inner(x):
+        return fp.quad(
+            lambda y: y**-1.5 * fp.exp(-x * x / (2 * y) - 2 * y), [0, x / 2, fp.inf]
+        )
+
+    for i in (0.01, 0.25, 1.0, 3.0):
+        shi = float(mp.shi(2 * mp.mpf(i)))
+        double = fp.quad(lambda x: fp.expm1(4 * x) * inner(x), [0, i])
+        double /= fp.sqrt(8 * fp.pi)
+        for want in (shi, double):
+            assert cycle_count_limit(i) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_cycle_count_limit_shape() -> None:
     assert cycle_count_limit(0.0) == 0.0
     vals = [cycle_count_limit(i) for i in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)]

@@ -220,6 +220,24 @@ def test_suite_oracle_passes(capsys) -> None:
     assert doc["summary"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv, checks", [
+    (["fragile", "--n", "20000", "--k", "1000", "--trials", "2"], 6),
+    (["mc-kappa", "--n", "5000", "--trials", "2"], 4),
+    (["supercritical", "--n", "20000", "--trials", "2"], 2),
+])
+def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
+    # at this scale some thresholds fail by design; the exit code must say so
+    rc, doc = _run_json(capsys, ["suite", *argv])
+    rows, summary = doc["rows"], doc["summary"]
+    assert len(rows) == summary["checks_total"] == checks
+    assert all(set(r) == {"name", "passed", "detail"} for r in rows)
+    assert len({r["name"] for r in rows}) == checks
+    passed = sum(r["passed"] for r in rows)
+    assert summary["checks_passed"] == passed
+    assert summary["passed"] is (passed == checks)
+    assert rc == (0 if passed == checks else 1)
+
+
 def test_unknown_suite_is_a_usage_error() -> None:
     with pytest.raises(SystemExit) as err:
         main(["suite", "nonsense"])

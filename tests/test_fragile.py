@@ -7,6 +7,7 @@ import pytest
 from genuslab import (
     DecompositionError,
     Graph,
+    GraphError,
     add_uniform_edges,
     build_quotient,
     contract_sets,
@@ -45,6 +46,9 @@ def test_showcase_quotient_and_good_edges() -> None:
     assert gamma.n == d.t
     assert gamma.edge_list() == [(0, 1), (1, 3)]
     assert count_good_edges(d, extra) == 2
+    assert build_quotient(d, extra + tuple((b, a) for a, b in extra)) == gamma
+    with pytest.raises(GraphError):
+        build_quotient(d, [(-1, 0)])
 
 
 def test_quotient_matches_the_contraction_route() -> None:
