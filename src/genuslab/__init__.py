@@ -1,10 +1,12 @@
 """Genus bounds, rotation-system embeddings, and structure of sparse random graphs."""
 
 from .graphs import (
+    Chain,
     CycleBudgetError,
     Graph,
     GraphError,
     InducedSubgraph,
+    Kernel,
     complete_bipartite_graph,
     complete_graph,
     contract_sets,
@@ -13,9 +15,11 @@ from .graphs import (
     excess,
     format_edge_list,
     giant_component,
+    giant_label,
     grid_graph,
     hypercube_graph,
     induced_subgraph,
+    kernel,
     load_edge_list,
     parse_edge_list,
     path_graph,

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import genus_lower_bound_from_cycle_count, genus_upper_bound
-from .graphs import Graph, GraphError, InducedSubgraph, enumerate_cycles, giant_component, two_core
+from .graphs import (
+    Graph,
+    GraphError,
+    InducedSubgraph,
+    enumerate_cycles,
+    giant_label,
+    induced_subgraph,
+    two_core,
+)
 from .random_models import gnm
 
 
@@ -110,7 +118,8 @@ def classify_cycle_neighborhood(
 
 
 def count_census_cycles(
-    G: Graph, s: int, i: float, cap: int = 10_000_000
+    G: Graph, s: int, i: float, cap: int = 10_000_000,
+    core: InducedSubgraph | None = None,
 ) -> tuple[int, float]:
     """Count cycles passing the four census thresholds; returns (count, x).
 
@@ -122,8 +131,9 @@ def count_census_cycles(
       - it has no bad neighbours.
 
     Cycles are enumerated on the 2-core (every cycle of G lives there) and
-    their neighbourhoods are classified in G itself.  The count is
-    non-decreasing in i for a fixed graph.
+    their neighbourhoods are classified in G itself.  core is two_core(G),
+    computed when omitted.  The count is non-decreasing in i for a fixed
+    graph.
     """
     n = G.n
     if s <= 0:
@@ -134,7 +144,8 @@ def count_census_cycles(
     max_len = math.floor(i * n / s)
     if max_len < 3:
         return 0, x
-    core = two_core(G)
+    if core is None:
+        core = two_core(G)
     if core.graph.n == 0:
         return 0, x
     leaf_cap = x * n * n / (s * s)
@@ -336,15 +347,20 @@ def supercritical_report(
     if ell is None:
         ell = max(3, math.floor(n / s))
     G = gnm(n, m, seed)
-    giant = giant_component(G).graph
-    core = two_core(giant).graph
+    # one peel: the giant's 2-core is the part of G's 2-core in the giant
+    labels = G.component_labels()
+    giant = giant_label(G)
+    all_cores = two_core(G)
+    core = induced_subgraph(
+        all_cores.graph, np.flatnonzero(labels[all_cores.old_labels] == giant)
+    ).graph
     short_cycles = len(enumerate_cycles(core, ell, cap=cap))
-    z_count, x = count_census_cycles(G, s, a, cap=cap)
+    z_count, x = count_census_cycles(G, s, a, cap=cap, core=all_cores)
     return SupercriticalReport(
         n=n,
         m=m,
         s=s,
-        giant_vertices=giant.n,
+        giant_vertices=int(np.count_nonzero(labels == giant)),
         core_vertices=core.n,
         core_edges=core.m,
         core_excess=core.m - core.n,

@@ -10,6 +10,7 @@ structural operations stay cheap at n around 10^6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -203,8 +204,11 @@ class InducedSubgraph:
 
 def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     """Subgraph induced on the given vertex set, relabeled compactly."""
-    keep = np.unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
-                                dtype=np.int64))
+    keep = np.sort(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
+                              dtype=np.int64))
+    first = np.ones(keep.size, dtype=bool)
+    first[1:] = keep[1:] != keep[:-1]
+    keep = keep[first]
     if keep.size and (keep[0] < 0 or keep[-1] >= G.n):
         raise GraphError("vertex out of range")
     lookup = np.full(G.n, -1, dtype=np.int64)
@@ -218,8 +222,15 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     return InducedSubgraph(Graph(keep.size, sub_edges), keep)
 
 
-def two_core(G: Graph) -> InducedSubgraph:
-    """Maximal subgraph with minimum degree 2 (empty if none exists).
+def _dart_positions(ptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """CSR positions of the darts leaving the given vertices, concatenated."""
+    starts = ptr[vertices]
+    counts = ptr[vertices + 1] - starts
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _core_degrees(G: Graph) -> np.ndarray:
+    """Degree of each vertex in the 2-core, or 0 for a vertex outside it.
 
     Frontier peel over the CSR arrays: each round removes the live vertices
     of degree below 2 and lowers the degrees of their live neighbours, which
@@ -228,38 +239,44 @@ def two_core(G: Graph) -> InducedSubgraph:
     round also has a fixed cost, and a pendant path of length L takes
     about L rounds.
     """
-    ptr, ind = G._indptr, G._indices
+    ind = G._indices
     deg = G.degrees()
     alive = deg > 0  # isolated vertices have no darts to read
     frontier = np.flatnonzero(deg == 1)
     while frontier.size:
         alive[frontier] = False
-        starts = ptr[frontier]
-        counts = ptr[frontier + 1] - starts
-        # dart positions of every frontier vertex, concatenated
-        darts = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        heads = ind[darts]
+        heads = ind[_dart_positions(G._indptr, frontier)]
         hit, drop = np.unique(heads[alive[heads]], return_counts=True)
         deg[hit] -= drop
         frontier = hit[deg[hit] < 2]
-    return induced_subgraph(G, np.flatnonzero(alive))
+    deg[~alive] = 0
+    return deg
 
 
-def giant_component(G: Graph) -> InducedSubgraph:
-    """Largest connected component; ties broken by smallest contained label."""
+def two_core(G: Graph) -> InducedSubgraph:
+    """Maximal subgraph with minimum degree 2 (empty if none exists), peeled
+    in O(n + m) work by _core_degrees."""
+    return induced_subgraph(G, np.flatnonzero(_core_degrees(G)))
+
+
+def giant_label(G: Graph) -> int:
+    """Component label of the largest component in G.component_labels();
+    ties broken by smallest contained vertex."""
     if G.n == 0:
         raise GraphError("empty graph has no components")
     ncomp, labels = G._components()
     sizes = np.bincount(labels, minlength=ncomp)
-    best = sizes.max()
-    candidates = np.flatnonzero(sizes == best)
-    if len(candidates) > 1:
-        # first vertex with a candidate label has the smallest label overall
-        firsts = [np.argmax(labels == c) for c in candidates]
-        chosen = candidates[int(np.argmin(firsts))]
-    else:
-        chosen = candidates[0]
-    return induced_subgraph(G, np.flatnonzero(labels == chosen))
+    candidates = np.flatnonzero(sizes == sizes.max())
+    if len(candidates) == 1:
+        return int(candidates[0])
+    # first vertex with a candidate label has the smallest label overall
+    firsts = [np.argmax(labels == c) for c in candidates]
+    return int(candidates[int(np.argmin(firsts))])
+
+
+def giant_component(G: Graph) -> InducedSubgraph:
+    """Largest connected component; ties broken by smallest contained label."""
+    return induced_subgraph(G, np.flatnonzero(G.component_labels() == giant_label(G)))
 
 
 def contract_sets(G: Graph, sets) -> Graph:
@@ -298,49 +315,153 @@ def _contract_edges(n: int, edges: np.ndarray, sets) -> Graph:
     return Graph(count, _decode_pairs(codes))
 
 
+class Chain(NamedTuple):
+    """A maximal path of the 2-core whose inner vertices have degree 2 there.
+
+    tail and head index Kernel.vertices and are equal for a loop; inner
+    lists the inner vertices, as labels of the graph, from tail to head.
+    """
+
+    tail: int
+    head: int
+    inner: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.inner) + 1
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The 2-core of a graph with its degree-2 chains suppressed.
+
+    vertices holds, ascending, the labels of the core vertices of core
+    degree at least 3.  chains are the edges of the kernel multigraph,
+    loops and parallel chains included.  rings are the core components with
+    no kernel vertex, which are bare cycles, each listed from its least
+    vertex towards the smaller of that vertex's neighbours.  Every core
+    edge lies on exactly one chain or ring.
+    """
+
+    vertices: np.ndarray
+    chains: list[Chain]
+    rings: list[tuple[int, ...]]
+
+
+def kernel(G: Graph) -> Kernel:
+    """Peel G to its 2-core and walk each maximal degree-2 chain once."""
+    deg = _core_degrees(G)
+    core = np.flatnonzero(deg)
+    heads = G._indices[_dart_positions(G._indptr, core)]
+    flat = heads[deg[heads] > 0].tolist()
+    # each core vertex's neighbours inside the core, sorted
+    adj: dict[int, list[int]] = {}
+    pos = 0
+    for v, d in zip(core.tolist(), deg[core].tolist()):
+        adj[v] = flat[pos:pos + d]
+        pos += d
+    branch = core[deg[core] >= 3]
+    index = {v: i for i, v in enumerate(branch.tolist())}
+    walked: set[int] = set()
+
+    def walk(start: int, x: int) -> tuple[list[int], int]:
+        """Degree-2 vertices from x on, stepping away from start, and the
+        vertex that ends the walk: a kernel vertex, or start itself."""
+        inner, prev = [], start
+        while x != start and x not in index:
+            inner.append(x)
+            a, b = adj[x]
+            prev, x = x, (b if a == prev else a)
+        walked.update(inner)
+        return inner, x
+
+    chains = []
+    for u, i in index.items():
+        for w in adj[u]:
+            if w in walked or (w in index and w < u):
+                continue  # this chain was walked from its other end
+            inner, end = walk(u, w)
+            chains.append(Chain(i, index[end], tuple(inner)))
+    rings = []
+    for v in core[deg[core] == 2].tolist():
+        if v not in walked:
+            rings.append((v, *walk(v, adj[v][0])[0]))
+    return Kernel(branch, chains, rings)
+
+
+def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate the cycle to start at its least vertex, then orient it so that
+    the second entry is below the last."""
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
+
+
 def enumerate_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:
     """All simple cycles of length at most max_length, as canonical tuples.
 
     A cycle (v0, ..., v_{k-1}) is canonical when v0 is its smallest vertex
-    and v1 < v_{k-1}; each cycle appears exactly once.  Raises
-    CycleBudgetError if more than cap cycles are found.
+    and v1 < v_{k-1}; each cycle appears exactly once, and the list is
+    sorted.  Raises CycleBudgetError if there are more than cap cycles.
+
+    The search runs on the kernel.  A cycle is a ring, a loop, or a closed
+    path of two or more chains through distinct kernel vertices.  Such a
+    path is rooted at its least kernel vertex r and kept in the orientation
+    whose first chain id is below its closing chain id.  A dict from each
+    kernel neighbour of r to the chains back to r closes a path by lookup,
+    so the search descends only while another chain could still close it.
     """
     if max_length < 3:
         return []
-    n = G.n
-    adj = G.adjacency_lists()
-    on_path = bytearray(n)
-    out: list[tuple[int, ...]] = []
-    for root in range(n):
-        if len(adj[root]) < 2:
+    K = kernel(G)
+    labels = K.vertices.tolist()
+    found = [ring for ring in K.rings if len(ring) <= max_length]
+    # darts[v]: (far end, chain id, length, walk from v, walk back to v)
+    darts: list[list[tuple]] = [[] for _ in labels]
+    for c, chain in enumerate(K.chains):
+        a, b, inner = chain
+        if a == b:
+            if chain.length <= max_length:
+                found.append((labels[a], *inner))
+        elif chain.length < max_length:
+            there = (labels[a], *inner)
+            back = (labels[b], *inner[::-1])
+            darts[a].append((b, c, chain.length, there, back))
+            darts[b].append((a, c, chain.length, back, there))
+    if len(found) > cap:
+        raise CycleBudgetError(cap, max_length)
+    on_path = [False] * len(labels)
+    for r, root_darts in enumerate(darts):
+        close: dict[int, list[tuple]] = {}
+        for w, c, length, _, back in root_darts:
+            if w > r:
+                close.setdefault(w, []).append((c, length, back))
+        if not close:
             continue
-        path = [root]
-        on_path[root] = 1
-        pos = [0]
-        while pos:
-            v = path[-1]
-            nbrs = adj[v]
-            i = pos[-1]
-            descended = False
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
-                if w == root:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        out.append(tuple(path))
-                        if len(out) > cap:
+        on_path[r] = True
+        first = -1  # chain id of the current path's first chain
+        # frames: (vertex, path length, path walk up to it, darts left to try)
+        stack = [(r, 0, (), iter(root_darts))]
+        while stack:
+            _, length, prefix, todo = stack[-1]
+            for w, c, step, there, _ in todo:
+                total = length + step
+                if w <= r or on_path[w] or total >= max_length:
+                    continue
+                if len(stack) == 1:
+                    first = c
+                for cc, back_length, back in close.get(w, ()):
+                    if cc > first and total + back_length <= max_length:
+                        found.append(prefix + there + back)
+                        if len(found) > cap:
                             raise CycleBudgetError(cap, max_length)
-                elif w > root and not on_path[w] and len(path) < max_length:
-                    pos[-1] = i
-                    path.append(w)
-                    on_path[w] = 1
-                    pos.append(0)
-                    descended = True
+                if total + 1 < max_length:
+                    on_path[w] = True
+                    stack.append((w, total, prefix + there, iter(darts[w])))
                     break
-            if not descended:
-                pos.pop()
-                on_path[path.pop()] = 0
-    return out
+            else:
+                on_path[stack.pop()[0]] = False
+    return sorted(_canonical(cycle) for cycle in found)
 
 
 # -- edge list text format: first line "n m", then one "u v" line per edge --

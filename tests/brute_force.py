@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from genuslab import Graph
+from genuslab import CycleBudgetError, Graph
 
 
 def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:
@@ -28,6 +28,48 @@ def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:
                 if all(G.has_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k)):
                     found.add(cyc)
     return found
+
+
+def dfs_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:
+    """Every simple cycle of length <= max_length, in enumerate_cycles's
+    canonical form and order, by a depth-first walk of every simple path of
+    G from each root up to its larger vertices."""
+    if max_length < 3:
+        return []
+    n = G.n
+    adj = G.adjacency_lists()
+    on_path = bytearray(n)
+    out: list[tuple[int, ...]] = []
+    for root in range(n):
+        if len(adj[root]) < 2:
+            continue
+        path = [root]
+        on_path[root] = 1
+        pos = [0]
+        while pos:
+            v = path[-1]
+            nbrs = adj[v]
+            i = pos[-1]
+            descended = False
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                if w == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        out.append(tuple(path))
+                        if len(out) > cap:
+                            raise CycleBudgetError(cap, max_length)
+                elif w > root and not on_path[w] and len(path) < max_length:
+                    pos[-1] = i
+                    path.append(w)
+                    on_path[w] = 1
+                    pos.append(0)
+                    descended = True
+                    break
+            if not descended:
+                pos.pop()
+                on_path[path.pop()] = 0
+    return out
 
 
 def brute_classify(G: Graph, cycle) -> tuple[int, int, int, int, int]:

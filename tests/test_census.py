@@ -195,26 +195,35 @@ def test_predicted_quantities() -> None:
 
 
 def test_supercritical_report_in_window() -> None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = supercritical_report(3000, 500, seed=17)
-    assert rep.n == 3000
-    assert rep.s == 500
-    assert rep.m == 3000 // 2 + 500
-    assert rep.core_excess == rep.core_edges - rep.core_vertices
-    assert 0 <= rep.genus_lower <= rep.genus_upper
-    assert rep.giant_vertices >= rep.core_vertices
-    assert rep.short_cycle_count >= 0
-    assert rep.census_cycle_count >= 0
-    assert rep.predicted == pytest.approx(8 * 500**3 / (3 * 3000**2))
-    # each field equals its standalone definition on the same sample
-    ell = max(3, 3000 // 500)
-    a = max(0.0, 0.5 * math.log(500**3 / 3000**2))
-    G = gnm(3000, 1500 + 500, seed=17)
-    core = two_core(giant_component(G).graph).graph
-    assert rep.short_cycle_count == len(enumerate_cycles(core, ell))
-    assert rep.genus_lower == genus_lower_bound_short_cycles(core, ell)
-    assert rep.census_cycle_count == count_census_cycles(G, 500, a)[0]
+    # at seed 23 the 2-core of G has a cycle component outside the giant
+    for seed in (17, 23):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = supercritical_report(3000, 500, seed=seed)
+        assert rep.n == 3000
+        assert rep.s == 500
+        assert rep.m == 3000 // 2 + 500
+        assert rep.core_excess == rep.core_edges - rep.core_vertices
+        assert 0 <= rep.genus_lower <= rep.genus_upper
+        assert rep.giant_vertices >= rep.core_vertices
+        assert rep.short_cycle_count >= 0
+        assert rep.census_cycle_count >= 0
+        assert rep.predicted == pytest.approx(8 * 500**3 / (3 * 3000**2))
+        # each field equals its standalone definition on the same sample
+        ell = max(3, 3000 // 500)
+        a = max(0.0, 0.5 * math.log(500**3 / 3000**2))
+        G = gnm(3000, 1500 + 500, seed=seed)
+        giant = giant_component(G).graph
+        core = two_core(giant).graph
+        assert (rep.giant_vertices, rep.core_vertices, rep.core_edges) == (giant.n, core.n, core.m)
+        assert rep.short_cycle_count == len(enumerate_cycles(core, ell))
+        assert rep.genus_lower == genus_lower_bound_short_cycles(core, ell)
+        assert rep.census_cycle_count == count_census_cycles(G, 500, a)[0]
+        all_cores = two_core(G)
+        assert count_census_cycles(G, 500, a, core=all_cores) == count_census_cycles(G, 500, a)
+        if seed == 23:
+            assert all_cores.graph.n > core.n
+            assert all_cores.graph.component_count > 1
 
 
 def test_supercritical_report_warns_outside_window() -> None:

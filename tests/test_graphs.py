@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from genuslab import (
@@ -20,13 +21,14 @@ from genuslab import (
     grid_graph,
     hypercube_graph,
     induced_subgraph,
+    kernel,
     load_edge_list,
     parse_edge_list,
     path_graph,
     save_edge_list,
     two_core,
 )
-from brute_force import brute_cycles
+from brute_force import brute_cycles, dfs_cycles
 
 
 def test_edges_are_canonicalized() -> None:
@@ -140,7 +142,6 @@ def test_two_core_matches_networkx_k_core() -> None:
 
 def test_csr_matches_networkx_adjacency() -> None:
     import networkx as nx
-    import numpy as np
 
     rng = np.random.default_rng(41)
     cases = [(10, [(5, 1), (0, 3), (1, 0), (4, 2)])]  # vertices 6..9 isolated
@@ -190,6 +191,17 @@ def test_induced_subgraph_relabels() -> None:
     assert sub.graph == complete_graph(3)
     assert list(sub.old_labels) == [0, 2, 4]
     assert [sub.new_index(v) for v in (0, 2, 4)] == [0, 1, 2]
+
+
+def test_induced_subgraph_sorts_and_dedups_its_vertices() -> None:
+    g = Graph(6, [(0, 2), (2, 4), (4, 0), (1, 3), (4, 5)])
+    sub = induced_subgraph(g, [4, 0, 2, 4, 0])
+    assert sub.graph == complete_graph(3)
+    assert list(sub.old_labels) == [0, 2, 4]
+    assert induced_subgraph(g, []).graph.n == 0
+    for bad in ([0, 6], [-1, 2], [7, 7]):
+        with pytest.raises(GraphError):
+            induced_subgraph(g, bad)
 
 
 def test_contract_opposite_pairs_of_hexagon() -> None:
@@ -243,6 +255,127 @@ def test_cycle_enumeration_matches_brute_force() -> None:
     for g in pool:
         for max_len in (3, 4, g.n):
             assert set(enumerate_cycles(g, max_len)) == brute_cycles(g, max_len)
+
+
+def _relabel(n: int, edges, seed: int) -> Graph:
+    """The graph on 0..n-1 with the given edges, its vertices shuffled so
+    that chain vertices often carry the smallest labels of their cycles."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _subdivided(g: Graph, inner_counts, seed: int) -> Graph:
+    """g with edge i replaced by a path through inner_counts[i] new vertices."""
+    n, edges = g.n, []
+    for (u, v), k in zip(g.edge_list(), inner_counts):
+        path = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(path, path[1:])
+    return _relabel(n, edges, seed)
+
+
+def _theta(*inner_counts: int, seed: int = 0) -> Graph:
+    """Two vertices joined by one path through each count of inner vertices."""
+    n, edges = 2, []
+    for k in inner_counts:
+        path = [0, *range(n, n + k), 1]
+        n += k
+        edges += zip(path, path[1:])
+    return _relabel(n, edges, seed)
+
+
+def _kernel_fixtures() -> dict[str, Graph]:
+    k4 = complete_graph(4)
+    k33 = complete_bipartite_graph(3, 3)
+    # 0-1-2-3 is a K4 and 4..8 a 5-cycle; the path 0-9-4 hangs the cycle
+    # off vertex 4, a kernel loop; 10..15 is a bare 6-cycle component
+    loop_edges = [*k4.edge_list(), *((4 + i, 4 + (i + 1) % 5) for i in range(5)),
+                  (0, 9), (9, 4), *((10 + i, 10 + (i + 1) % 6) for i in range(6))]
+    # K4 with its edge 0-1 subdivided by 4; pendant trees on the chain
+    # vertex 4 and on the K4 vertex 2, plus a tree component
+    tree_edges = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                  (4, 5), (5, 6), (5, 7), (2, 8), (8, 9), (10, 11), (11, 12)]
+    return {
+        "subdivided K4": _subdivided(k4, [0, 1, 2, 3, 0, 4], seed=1),
+        "subdivided K3,3": _subdivided(k33, [i % 4 for i in range(9)], seed=2),
+        "theta": _theta(0, 2, 3, seed=3),
+        "theta with parallel chains": _theta(1, 1, 2, 4, seed=4),
+        "loop and ring": _relabel(16, loop_edges, seed=5),
+        "pendant trees": _relabel(13, tree_edges, seed=6),
+        "no vertex of degree 3": Graph(12, [*cycle_graph(5).edge_list(), (5, 6), (6, 7),
+                                            *((8 + i, 8 + (i + 1) % 4) for i in range(4))]),
+    }
+
+
+def _networkx_cycles(g: Graph, max_length: int) -> set[tuple[int, ...]]:
+    import networkx as nx
+
+    nxg = nx.Graph(g.edge_list())
+    nxg.add_nodes_from(range(g.n))
+    out = set()
+    for cyc in nx.simple_cycles(nxg, length_bound=max_length):
+        i = cyc.index(min(cyc))
+        cyc = cyc[i:] + cyc[:i]
+        out.add(tuple(cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]))
+    return out
+
+
+def test_kernel_search_matches_dfs_and_networkx() -> None:
+    for name, g in _kernel_fixtures().items():
+        lengths = {len(c) for c in dfs_cycles(g, g.n)}
+        assert lengths, name
+        for max_len in sorted({2, 3, g.n} | lengths | {k - 1 for k in lengths}):
+            fast = enumerate_cycles(g, max_len)
+            assert fast == dfs_cycles(g, max_len), (name, max_len)
+            assert set(fast) == _networkx_cycles(g, max_len), (name, max_len)
+
+
+def test_kernel_of_a_loop_and_a_ring() -> None:
+    g = _kernel_fixtures()["loop and ring"]
+    k = kernel(g)
+    assert len(k.vertices) == 5  # the K4 and the loop's attachment vertex
+    assert sorted(c.length for c in k.chains) == [1, 1, 1, 1, 1, 1, 2, 5]
+    assert [c.tail == c.head for c in k.chains].count(True) == 1
+    assert [len(ring) for ring in k.rings] == [6]
+    assert kernel(_kernel_fixtures()["no vertex of degree 3"]).vertices.size == 0
+
+
+def test_kernel_partitions_the_core() -> None:
+    for seed in range(40):
+        n = 10 + 7 * seed
+        g = gnm(n, n * (3 + seed % 5) // 6, seed=seed)
+        core = two_core(g)
+        deg = np.zeros(g.n, dtype=np.int64)
+        deg[core.old_labels] = core.graph.degrees()
+        k = kernel(g)
+        assert k.vertices.tolist() == np.flatnonzero(deg >= 3).tolist()
+        ends = k.vertices.tolist()
+        walks = [(ends[c.tail], *c.inner, ends[c.head]) for c in k.chains]
+        walks += [(*ring, ring[0]) for ring in k.rings]
+        # every core edge on exactly one chain or ring
+        edges = sorted((min(a, b), max(a, b)) for w in walks for a, b in zip(w, w[1:]))
+        assert edges == sorted(map(tuple, core.old_labels[core.graph.edge_array].tolist()))
+        assert sum(c.length for c in k.chains) + sum(map(len, k.rings)) == core.graph.m
+        for c in k.chains:
+            assert all(deg[v] == 2 for v in c.inner)
+        for ring in k.rings:
+            assert all(deg[v] == 2 for v in ring)
+            assert ring[0] == min(ring) and ring[1] < ring[-1]
+
+
+def test_cycle_cap_is_exact() -> None:
+    g = _kernel_fixtures()["subdivided K3,3"]
+    cycles = enumerate_cycles(g, g.n)
+    assert enumerate_cycles(g, g.n, cap=len(cycles)) == cycles
+    with pytest.raises(CycleBudgetError):
+        enumerate_cycles(g, g.n, cap=len(cycles) - 1)
+
+
+def test_long_chains_need_no_recursion() -> None:
+    g = _theta(2000, 2000, 2000)
+    cycles = enumerate_cycles(g, 6000)
+    assert len(cycles) == 3
+    assert [len(c) for c in cycles] == [4002] * 3
 
 
 def test_cycle_budget_error_reports_limits() -> None:
