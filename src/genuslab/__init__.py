@@ -7,6 +7,7 @@ from .graphs import (
     GraphError,
     InducedSubgraph,
     Kernel,
+    bfs_tree,
     complete_bipartite_graph,
     complete_graph,
     contract_sets,

@@ -12,6 +12,9 @@ what makes the genus of bounded-degree graphs fragile under perturbation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .embeddings import (
     genus_lower_bound_density,
@@ -19,7 +22,7 @@ from .embeddings import (
     genus_upper_bound,
     perturbation_upper_bound,
 )
-from .graphs import Graph, _as_edge_array, _contract_edges
+from .graphs import Graph, _as_edge_array, _bfs, _contract_edges, bfs_tree
 from .random_models import uniform_pairs
 
 
@@ -86,17 +89,60 @@ def _check_base(H: Graph, Delta: int) -> None:
         )
 
 
+def _groups(vertices: np.ndarray, labels: np.ndarray, t: int) -> tuple[tuple[int, ...], ...]:
+    """Split the ascending vertices by their labels 0..t-1, which the stable
+    sort keeps ascending within each group."""
+    flat = vertices[np.argsort(labels, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=t)).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends))
+
+
+def _piece_labels(H: Graph, target: int) -> tuple[np.ndarray, int]:
+    """Each vertex's piece index, t for the leftover, and the piece count t
+    of decompose_into_pieces with pieces of at least target vertices."""
+    order, parent = bfs_tree(H, 0)
+    # the tree on search-order positions: up[i] is the position of the
+    # parent of the vertex at position i, and the search root points to itself
+    pos = np.empty(H.n, dtype=np.int64)
+    pos[order] = np.arange(H.n)
+    up = pos[parent[order]]
+    up[0] = 0
+    size = [1] * H.n
+    detached: list[int] = []
+    parent_at = memoryview(up)  # Python ints without a list copy
+    for i in range(H.n - 1, -1, -1):
+        if size[i] >= target:
+            detached.append(i)
+        elif i:
+            size[parent_at[i]] += size[i]
+    t = len(detached)
+    roots = np.array(detached, dtype=np.int64)
+    up[roots] = roots
+    # pointer jumping, with the detached positions and the search root as
+    # fixed points, ends at each position's nearest detached position at or
+    # above it, or at the root for the leftover
+    jump, nxt = up, up[up]
+    while not np.array_equal(nxt, jump):
+        jump, nxt = nxt, nxt[nxt]
+    piece_id = np.full(H.n, t, dtype=np.int64)
+    piece_id[roots] = np.arange(t)
+    label = np.empty(H.n, dtype=np.int64)
+    label[order] = piece_id[jump]
+    return label, t
+
+
 def decompose_into_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
     """Cut a connected graph of maximum degree at most Delta into connected
     pieces of size between l*Delta and l*Delta**2 covering all but fewer
     than l*Delta vertices.
 
-    Works on a breadth-first spanning tree: scanning vertices deepest
-    first, the subtree below a vertex is detached as a piece as soon as its
-    undetached part reaches l*Delta vertices.  Every proper child subtree
-    was below the threshold at that moment, so a detached piece has at most
-    1 + Delta*(l*Delta - 1) <= l*Delta**2 vertices, and the final leftover
-    around the root is below l*Delta and is discarded.
+    Works on the breadth-first spanning tree from vertex 0: scanning
+    vertices deepest first, the subtree below a vertex is detached as a
+    piece as soon as its undetached part reaches l*Delta vertices.  Every
+    proper child subtree was below the threshold at that moment, so a
+    detached piece has at most 1 + Delta*(l*Delta - 1) <= l*Delta**2
+    vertices, and the final leftover around the root is below l*Delta and
+    is discarded.  Pieces are listed in detachment order.
     """
     if l < 1:
         raise DecompositionError("l must be at least 1")
@@ -106,78 +152,60 @@ def decompose_into_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
         raise DecompositionError(
             f"need at least l*Delta={target} vertices, have {H.n}"
         )
-    parent = [-1] * H.n
-    order = [0]
-    seen = bytearray(H.n)
-    seen[0] = 1
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for x in H.neighbors(u).tolist():
-            if not seen[x]:
-                seen[x] = 1
-                parent[x] = u
-                order.append(x)
-    children: list[list[int]] = [[] for _ in range(H.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    size = [1] * H.n
-    detached = bytearray(H.n)
-    pieces: list[tuple[int, ...]] = []
-    for v in reversed(order):
-        total = 1
-        for c in children[v]:
-            if not detached[c]:
-                total += size[c]
-        size[v] = total
-        if total >= target:
-            comp: list[int] = []
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                detached[u] = 1
-                for c in children[u]:
-                    if not detached[c]:
-                        stack.append(c)
-            pieces.append(tuple(sorted(comp)))
+    label, t = _piece_labels(H, target)
+    covered = np.flatnonzero(label < t)
+    pieces = _groups(covered, label[covered], t)
     return PieceDecomposition(
         l=l,
         Delta=Delta,
-        pieces=tuple(pieces),
+        pieces=pieces,
         cores=(),
         s=min(len(p) for p in pieces),
-        t=len(pieces),
+        t=t,
     )
+
+
+def _search_within_labels(H: Graph, label: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Breadth-first order of the vertices reached from a super-root joined
+    to starts, over the darts of H whose two ends share a label."""
+    n = H.n
+    inside = np.repeat(label, H.degrees()) == label[H._indices]
+    # int32, the index type scipy's graph searches run in, saves a copy
+    kept = np.zeros(len(inside) + 1, dtype=np.int32)
+    np.cumsum(inside, out=kept[1:])
+    indptr = np.append(kept[H._indptr], kept[-1] + len(starts))
+    indices = np.concatenate([H._indices[inside], starts], dtype=np.int32)
+    return _bfs(n + 1, indptr, indices, n)[0][1:]
 
 
 def select_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
     """Shrink each piece to a connected core of the common size s.
 
     The core is the first s vertices of a breadth-first traversal of the
-    piece, which is the same as repeatedly pruning a leaf of the piece's
-    spanning tree until s vertices remain.
+    piece from its first vertex, which is the same as repeatedly pruning a
+    leaf of the piece's spanning tree until s vertices remain.  All pieces
+    are searched at once: one search runs over the darts inside pieces,
+    from a super-root joined to each piece's first vertex.  The pieces are
+    not joined to each other, so the vertices of one piece appear in that
+    search in the order of the piece's own breadth-first traversal.
+    Vertices outside every piece share the label -1; no start is among
+    them, so nothing reaches them.
     """
-    cores: list[tuple[int, ...]] = []
-    for piece in d.pieces:
-        members = set(piece)
-        root = piece[0]
-        taken = [root]
-        seen = {root}
-        qi = 0
-        while qi < len(taken) and len(taken) < d.s:
-            u = taken[qi]
-            qi += 1
-            for x in H.neighbors(u).tolist():
-                if x in members and x not in seen:
-                    seen.add(x)
-                    taken.append(x)
-                    if len(taken) == d.s:
-                        break
-        cores.append(tuple(sorted(taken[: d.s])))
+    t = len(d.pieces)
+    label = np.full(H.n, -1, dtype=np.int32)
+    label[np.fromiter(chain.from_iterable(d.pieces), dtype=np.int64)] = np.repeat(
+        np.arange(t), [len(piece) for piece in d.pieces]
+    )
+    starts = np.array([piece[0] for piece in d.pieces], dtype=np.int64)
+    order = _search_within_labels(H, label, starts)
+    # rank of each reached vertex within its piece, in search order
+    by_piece = order[np.argsort(label[order], kind="stable")]
+    counts = np.bincount(label[by_piece], minlength=t)
+    rank = np.arange(len(by_piece)) - np.repeat(np.cumsum(counts) - counts, counts)
+    core = np.sort(by_piece[rank < d.s])
+    cores = _groups(core, label[core], t)
     return PieceDecomposition(
-        l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores), s=d.s, t=d.t
+        l=d.l, Delta=d.Delta, pieces=d.pieces, cores=cores, s=d.s, t=d.t
     )
 
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order as _sp_breadth_first_order
 from scipy.sparse.csgraph import connected_components as _sp_connected_components
 
 
@@ -44,6 +45,24 @@ def _as_edge_array(edges) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphError("edges must be pairs of vertices")
     return arr
+
+
+def _csr_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+    """scipy view of a CSR adjacency on 0..n-1, every dart of weight 1.0;
+    float64 is the weight type scipy's graph routines work in, so they make
+    no copy of the weights."""
+    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
+def _bfs(n: int, indptr: np.ndarray, indices: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """bfs_tree over a CSR adjacency, whose darts are followed as given."""
+    if not 0 <= root < n:
+        raise GraphError("root out of range")
+    order, parent = _sp_breadth_first_order(
+        _csr_matrix(n, indptr, indices), root, directed=True, return_predecessors=True
+    )
+    parent[parent < 0] = -1  # scipy marks the root and unreached vertices -9999
+    return order, parent
 
 
 def _encode_pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -150,11 +169,7 @@ class Graph:
             if self._n == 0:
                 self._ncomp, self._labels = 0, np.zeros(0, dtype=np.int64)
             else:
-                mat = csr_matrix(
-                    (np.ones(len(self._indices), dtype=np.int8),
-                     self._indices, self._indptr),
-                    shape=(self._n, self._n),
-                )
+                mat = _csr_matrix(self._n, self._indptr, self._indices)
                 ncomp, labels = _sp_connected_components(mat, directed=False)
                 self._ncomp, self._labels = int(ncomp), labels
         return self._ncomp, self._labels
@@ -177,6 +192,17 @@ class Graph:
 
     def __hash__(self):
         return hash((self._n, self._edges.tobytes()))
+
+
+def bfs_tree(G: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from root: (order, parent).
+
+    order lists the vertices reached, in first-in first-out order with each
+    vertex's neighbours taken ascending.  parent[v] is the vertex that first
+    reached v, or -1 for the root and for every vertex not reached.  The
+    search runs in scipy over G's own CSR, which holds both dart directions.
+    """
+    return _bfs(G.n, G._indptr, G._indices, root)
 
 
 def excess(G: Graph) -> int:
@@ -504,13 +530,15 @@ def save_edge_list(G: Graph, path) -> None:
 # -- small named constructors used by fixtures, tests, and the CLI --
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    i = np.arange(max(n - 1, 0))
+    return Graph(n, np.column_stack([i, i + 1]))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return Graph(n, np.column_stack([i, (i + 1) % n]))
 
 
 def complete_graph(n: int) -> Graph:
@@ -527,13 +555,7 @@ def hypercube_graph(d: int) -> Graph:
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
-    def idx(r, c):
-        return r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((idx(r, c), idx(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((idx(r, c), idx(r + 1, c)))
-    return Graph(rows * cols, edges)
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    across = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+    down = np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])
+    return Graph(rows * cols, np.concatenate([across, down]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from genuslab import CycleBudgetError, Graph
+from genuslab.fragile import DecompositionError, PieceDecomposition, _check_base
 
 
 def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:
@@ -155,3 +156,103 @@ def _connected_on(vertices, edges) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(vertices)
+
+
+def bfs_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
+    """decompose_into_pieces by a per-vertex breadth-first search, explicit
+    children lists and one stack walk per detached piece.
+
+    Cut a connected graph of maximum degree at most Delta into connected
+    pieces of size between l*Delta and l*Delta**2 covering all but fewer
+    than l*Delta vertices.
+
+    Works on a breadth-first spanning tree: scanning vertices deepest
+    first, the subtree below a vertex is detached as a piece as soon as its
+    undetached part reaches l*Delta vertices.  Every proper child subtree
+    was below the threshold at that moment, so a detached piece has at most
+    1 + Delta*(l*Delta - 1) <= l*Delta**2 vertices, and the final leftover
+    around the root is below l*Delta and is discarded.
+    """
+    if l < 1:
+        raise DecompositionError("l must be at least 1")
+    _check_base(H, Delta)
+    target = l * Delta
+    if target > H.n:
+        raise DecompositionError(
+            f"need at least l*Delta={target} vertices, have {H.n}"
+        )
+    parent = [-1] * H.n
+    order = [0]
+    seen = bytearray(H.n)
+    seen[0] = 1
+    qi = 0
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        for x in H.neighbors(u).tolist():
+            if not seen[x]:
+                seen[x] = 1
+                parent[x] = u
+                order.append(x)
+    children: list[list[int]] = [[] for _ in range(H.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    size = [1] * H.n
+    detached = bytearray(H.n)
+    pieces: list[tuple[int, ...]] = []
+    for v in reversed(order):
+        total = 1
+        for c in children[v]:
+            if not detached[c]:
+                total += size[c]
+        size[v] = total
+        if total >= target:
+            comp: list[int] = []
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                detached[u] = 1
+                for c in children[u]:
+                    if not detached[c]:
+                        stack.append(c)
+            pieces.append(tuple(sorted(comp)))
+    return PieceDecomposition(
+        l=l,
+        Delta=Delta,
+        pieces=tuple(pieces),
+        cores=(),
+        s=min(len(p) for p in pieces),
+        t=len(pieces),
+    )
+
+
+def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
+    """select_cores by one breadth-first search per piece.
+
+    Shrink each piece to a connected core of the common size s.
+
+    The core is the first s vertices of a breadth-first traversal of the
+    piece, which is the same as repeatedly pruning a leaf of the piece's
+    spanning tree until s vertices remain.
+    """
+    cores: list[tuple[int, ...]] = []
+    for piece in d.pieces:
+        members = set(piece)
+        root = piece[0]
+        taken = [root]
+        seen = {root}
+        qi = 0
+        while qi < len(taken) and len(taken) < d.s:
+            u = taken[qi]
+            qi += 1
+            for x in H.neighbors(u).tolist():
+                if x in members and x not in seen:
+                    seen.add(x)
+                    taken.append(x)
+                    if len(taken) == d.s:
+                        break
+        cores.append(tuple(sorted(taken[: d.s])))
+    return PieceDecomposition(
+        l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores), s=d.s, t=d.t
+    )

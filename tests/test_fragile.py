@@ -17,6 +17,7 @@ from genuslab import (
     fragile_experiment,
     genus_upper_bound,
     grid_graph,
+    hypercube_graph,
     induced_subgraph,
     path_graph,
     perturbation_upper_bound,
@@ -24,6 +25,7 @@ from genuslab import (
     trial_rng,
 )
 from genuslab.corpus import amplification_showcase
+from brute_force import bfs_cores, bfs_pieces
 
 
 def _random_bounded_tree(n: int, max_degree: int, rng) -> Graph:
@@ -121,6 +123,41 @@ def test_decomposition_invariants_across_base_families() -> None:
                 assert len(core) == d.s
                 assert set(core) <= set(piece)
                 assert induced_subgraph(h, core).graph.component_count == 1
+
+
+def _with_extra_edges(h: Graph, tries: int, rng) -> Graph:
+    """h plus up to tries random new edges, each between two vertices still
+    below h's maximum degree, so the maximum degree does not grow."""
+    top = int(h.degrees().max())
+    deg = h.degrees().copy()
+    edges = set(h.edge_list())
+    for _ in range(tries):
+        u, v = sorted(int(x) for x in rng.integers(0, h.n, 2))
+        if u != v and (u, v) not in edges and deg[u] < top and deg[v] < top:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(h.n, sorted(edges))
+
+
+def test_decomposition_matches_the_per_vertex_reference() -> None:
+    rng = trial_rng(425, 0)
+    bases = [path_graph(n) for n in (1, 2, 5, 31)]
+    bases += [cycle_graph(n) for n in (3, 8, 41)]
+    bases += [grid_graph(1, 9), grid_graph(5, 7), grid_graph(9, 11)]
+    bases += [hypercube_graph(d) for d in (0, 1, 3, 5)]
+    for n in (4, 17, 60, 150, 300):
+        for delta in (3, 4):
+            tree = _random_bounded_tree(n, delta, rng)
+            bases += [tree, _with_extra_edges(tree, n, rng)]
+    for h in bases:
+        delta = max(int(h.degrees().max(initial=0)), 1)
+        for l in range(1, h.n // delta + 1):
+            want = bfs_cores(h, bfs_pieces(h, l, delta))
+            assert select_cores(h, decompose_into_pieces(h, l, delta)) == want, (h, l)
+    h = path_graph(10**5)
+    want = bfs_cores(h, bfs_pieces(h, 120, 2))
+    assert select_cores(h, decompose_into_pieces(h, 120, 2)) == want
 
 
 def test_fragile_experiment_report_fields() -> None:

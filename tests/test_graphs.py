@@ -9,6 +9,7 @@ from genuslab import (
     CycleBudgetError,
     Graph,
     GraphError,
+    bfs_tree,
     complete_bipartite_graph,
     complete_graph,
     contract_sets,
@@ -161,6 +162,47 @@ def test_csr_matches_networkx_adjacency() -> None:
         assert g.degrees().tolist() == [nxg.degree(v) for v in range(n)]
         for v in range(n):
             assert g.neighbors(v).tolist() == sorted(nxg.adj[v]), (n, v)
+
+
+def _fifo_search(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    adj = g.adjacency_lists()
+    parent = [-1] * g.n
+    order = [root]
+    seen = {root}
+    for u in order:
+        for x in adj[u]:
+            if x not in seen:
+                seen.add(x)
+                parent[x] = u
+                order.append(x)
+    return order, parent
+
+
+def test_bfs_tree_matches_a_fifo_search_and_networkx() -> None:
+    import networkx as nx
+
+    cases = [
+        (grid_graph(4, 5), (0, 7, 19)),
+        (hypercube_graph(4), (0, 9)),
+        # two components and the isolated vertex 8
+        (Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]), (0, 2, 5, 8)),
+        (Graph(5), (0, 3)),
+        (Graph(1), (0,)),
+    ]
+    for n, m in ((30, 25), (200, 180), (200, 400)):
+        cases.append((gnm(n, m, seed=n + m), (0, n // 2, n - 1)))
+    for g, roots in cases:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edge_list())
+        for root in roots:
+            order, parent = bfs_tree(g, root)
+            want_order, want_parent = _fifo_search(g, root)
+            assert order.tolist() == want_order, (g, root)
+            assert parent.tolist() == want_parent, (g, root)
+            assert set(want_order) == set(nx.bfs_tree(nxg, root).nodes), (g, root)
+    with pytest.raises(GraphError):
+        bfs_tree(Graph(3), 3)
 
 
 def test_giant_component_examples() -> None:
@@ -419,3 +461,22 @@ def test_standard_constructors() -> None:
     assert g.m == 7
     with pytest.raises(GraphError):
         cycle_graph(2)
+
+
+def test_named_constructors_equal_their_list_built_forms() -> None:
+    def same(a: Graph, b: Graph) -> bool:
+        return (
+            a == b
+            and np.array_equal(a._indices, b._indices)
+            and np.array_equal(a._indptr, b._indptr)
+        )
+
+    for n in range(8):
+        assert same(path_graph(n), Graph(n, [(i, i + 1) for i in range(n - 1)])), n
+    for n in range(3, 9):
+        assert same(cycle_graph(n), Graph(n, [(i, (i + 1) % n) for i in range(n)])), n
+    for rows in range(5):
+        for cols in range(5):
+            edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+            edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+            assert same(grid_graph(rows, cols), Graph(rows * cols, edges)), (rows, cols)
