@@ -9,7 +9,9 @@ The search is depth first and fixes one vertex per node, in an order that
 keeps the next vertex's unfixed neighbours as few as possible.  The partial
 face walks are kept as chains of darts: linking a dart to its successor
 either joins two chains or closes one into a face, in constant time, and is
-undone the same way on backtrack.  Every face walk of a 2-connected block
+undone the same way on backtrack.  Each depth reads its vertex's rotations,
+with their links in both orders, from a table filled as the search first
+reaches them, so a node neither builds nor reverses a rotation.  Every face walk of a 2-connected block
 contains a cycle, so the faces still to close number at most
 min(open chains, open darts // girth); a branch is pruned when the closed
 faces plus that bound fall short of the target.  The target is the
@@ -23,6 +25,11 @@ from itertools import permutations
 
 # There is one pure-Python kernel; the flag records the backend in reports.
 HAVE_NUMBA = False
+
+# A vertex of degree at most this keeps its rotations, at most 7! = 5040,
+# in a table for the whole search; a higher-degree vertex regenerates them
+# on every visit, as its table could outgrow memory.
+TABLE_DEGREE = 8
 
 
 def _vertex_order(out_darts: list[list[int]]) -> list[int]:
@@ -49,7 +56,8 @@ def _vertex_order(out_darts: list[list[int]]) -> list[int]:
 
 
 def _rotations(outs: list[int], mirror_free: bool):
-    """Every cyclic order of outs, as (entering dart, successor) links.
+    """Every cyclic order of outs, as (links, links reversed), where links
+    lists the (entering dart, successor) pairs the order fixes.
 
     With mirror_free only one of each mirror pair is produced: reversing
     every rotation of a system preserves its faces, so dropping reflections
@@ -60,7 +68,8 @@ def _rotations(outs: list[int], mirror_free: bool):
         if mirror_free and len(rest) > 1 and rest[0] > rest[-1]:
             continue
         seq = (first,) + rest
-        yield [(seq[i - 1] ^ 1, seq[i]) for i in range(len(seq))]
+        links = [(seq[i - 1] ^ 1, seq[i]) for i in range(len(seq))]
+        yield links, links[::-1]
 
 
 def search_block(
@@ -86,6 +95,13 @@ def search_block(
 
     # drop mirror images at the first vertex that has a choice
     first_choice = sum(len(o) == 2 for o in out_darts)
+    # tables[k] holds the rotations of depth k met so far, in _rotations
+    # order, and sources[k] yields the ones after them; past TABLE_DEGREE
+    # the table stays empty and sources[k] restarts when it runs out, the
+    # only way the search backs out of depth k short of returning
+    kept = [len(out_darts[v]) <= TABLE_DEGREE for v in order]
+    tables = [[] for _ in range(nv)]
+    sources = [_rotations(out_darts[v], k == first_choice) for k, v in enumerate(order)]
     nodes = 0
     while True:
         target = nd // 2 - nv + 2 - 2 * genus
@@ -95,14 +111,16 @@ def search_block(
         length = [1] * nd
         closed = 0
         open_darts = nd
-        choices = [None] * nv
-        links = [None] * nv
-        saved = [None] * nv
+        # mark[d] is -1 if linking d closed a face, else the chain start
+        # whose chain d's link extended; each dart is linked once per branch
+        mark = [0] * nd
+        chosen = [None] * nv  # the rotation fixed at each depth
+        pos = [0] * nv  # table index of the next rotation at each depth
         k = 0
-        choices[0] = _rotations(out_darts[order[0]], first_choice == 0)
         while k >= 0:
-            if links[k] is not None:  # undo the previous order at depth k
-                for (d, e), s in zip(reversed(links[k]), reversed(saved[k])):
+            if chosen[k] is not None:  # undo the previous order at depth k
+                for d, e in chosen[k][1]:
+                    s = mark[d]
                     if s < 0:
                         closed -= 1
                         open_darts += length[e]
@@ -111,35 +129,44 @@ def search_block(
                         other[s] = d
                         other[t] = e
                         length[s] -= length[e]
-                links[k] = None
-            cur = next(choices[k], None)
-            if cur is None:
-                k -= 1
-                continue
-            marks = []
-            for d, e in cur:
+                chosen[k] = None
+            i = pos[k]
+            table = tables[k]
+            if i < len(table):
+                cur = table[i]
+            else:
+                cur = next(sources[k], None)
+                if cur is None:
+                    if not kept[k]:  # restart on the next visit
+                        sources[k] = _rotations(out_darts[order[k]], k == first_choice)
+                    k -= 1
+                    continue
+                if kept[k]:
+                    table.append(cur)
+            pos[k] = i + 1
+            for d, e in cur[0]:
                 s = other[d]
                 if s == e:
                     closed += 1
                     open_darts -= length[e]
-                    marks.append(-1)
+                    mark[d] = -1
                 else:
                     t = other[e]
                     other[s] = t
                     other[t] = s
                     length[s] += length[e]
-                    marks.append(s)
-            links[k] = cur
-            saved[k] = marks
+                    mark[d] = s
+            chosen[k] = cur
             nodes += 1
-            if closed + min(open_chains[k], open_darts // girth) >= target:
+            free = open_darts // girth
+            if closed + (free if free < open_chains[k] else open_chains[k]) >= target:
                 if k == nv - 1:
                     rotation = [[] for _ in range(nv)]
-                    for v, cur in zip(order, links):
-                        rotation[v] = [e for _, e in cur]
+                    for v, cur in zip(order, chosen):
+                        rotation[v] = [e for _, e in cur[0]]
                     return genus, (nd // 2 - nv + 2 - closed) // 2, rotation, nodes
                 k += 1
-                choices[k] = _rotations(out_darts[order[k]], k == first_choice)
+                pos[k] = 0
             if nodes >= budget:
                 target = 0  # every branch passes: dive to the nearest leaf
         genus += 1

@@ -1,8 +1,9 @@
 """Command-line harness for the genus experiments.
 
 Every command builds a JSON report with four blocks: config (the exact
-parameters used, round-trippable through JSON), metadata (timestamps and
-wall times, the only nondeterministic content), rows (one per trial or
+parameters used, round-trippable through JSON), metadata (timestamps, wall
+times and what ran: the search backend and the package, numpy and scipy
+versions; the only content that varies between runs), rows (one per trial or
 grid point, deterministic given config and seed), and summary.  CSV output
 emits the rows alone.  Exit codes: 0 on success, 1 when an acceptance
 suite or budgeted search fails, 2 on usage errors.
@@ -23,8 +24,9 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, _genus_search
 from .acceptance import (
     KAPPA_LAMBDAS,
     ORACLE_EXPECTED,
@@ -90,6 +92,9 @@ def _report(config: dict, rows: list[dict], summary: dict, seconds: list[float])
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "tool": "genuslab",
             "version": __version__,
+            "search_backend": "numba" if _genus_search.HAVE_NUMBA else "python",
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "trial_seconds": [round(t, 6) for t in seconds],
         },
         "rows": rows,
@@ -298,11 +303,7 @@ def _cmd_generate(ns) -> int:
 
 def _report_failure(ns, payload: dict) -> int:
     """Write a budget failure as a JSON report and return exit code 1."""
-    _write_output(
-        {"config": _config_of(ns), "metadata": {}, "rows": [payload],
-         "summary": payload},
-        "json", ns.out,
-    )
+    _write_output(_report(_config_of(ns), [payload], payload, []), "json", ns.out)
     return 1
 
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+import scipy
 
 from genuslab import component_fraction, cycle_count_limit, genus_per_edge
 from genuslab.cli import OUT_DIR_ENV, main
@@ -22,7 +24,11 @@ def test_genus_exact_reports_genus_and_faces(capsys) -> None:
     assert row["f"] == 5
     assert row["visited"] > 0
     assert doc["config"]["fixture"] == "k5"
-    assert doc["metadata"]["tool"] == "genuslab"
+    meta = doc["metadata"]
+    assert meta["tool"] == "genuslab"
+    assert meta["search_backend"] == "python"
+    assert meta["numpy"] == np.__version__
+    assert meta["scipy"] == scipy.__version__
 
 
 def test_genus_exact_face_walks_cover_each_edge_twice(capsys) -> None:
@@ -43,6 +49,7 @@ def test_genus_exact_budget_exhaustion_exits_one(capsys) -> None:
     row = doc["rows"][0]
     assert row["error"]
     assert row["bounds"]["lower"] <= 1 <= row["bounds"]["upper"]
+    assert doc["metadata"]["search_backend"] == "python"
 
 
 def test_genus_bounds_shape(capsys) -> None:

@@ -29,13 +29,13 @@ from brute_force import bfs_cores, bfs_pieces
 
 
 def _random_bounded_tree(n: int, max_degree: int, rng) -> Graph:
+    """A random tree on n vertices: each vertex v > 0 hangs from a uniform
+    choice among the earlier vertices still below max_degree (>= 2)."""
     edges = []
     deg = [0] * n
     for v in range(1, n):
-        while True:
-            u = int(rng.integers(0, v))
-            if deg[u] < max_degree - 1 or (deg[u] < max_degree and u == 0):
-                break
+        below = [u for u in range(v) if deg[u] < max_degree]
+        u = below[int(rng.integers(0, len(below)))]
         edges.append((u, v))
         deg[u] += 1
         deg[v] += 1
@@ -102,6 +102,7 @@ def test_decomposition_invariants_across_base_families() -> None:
         (cycle_graph(240), 2),
         (grid_graph(12, 20), 4),
         (_random_bounded_tree(240, 3, rng), 3),
+        (_random_bounded_tree(240, 2, rng), 2),
     ]
     for h, delta in bases:
         for l in (2, 4):
@@ -147,7 +148,7 @@ def test_decomposition_matches_the_per_vertex_reference() -> None:
     bases += [grid_graph(1, 9), grid_graph(5, 7), grid_graph(9, 11)]
     bases += [hypercube_graph(d) for d in (0, 1, 3, 5)]
     for n in (4, 17, 60, 150, 300):
-        for delta in (3, 4):
+        for delta in (2, 3, 4):
             tree = _random_bounded_tree(n, delta, rng)
             bases += [tree, _with_extra_edges(tree, n, rng)]
     for h in bases:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from genuslab import (
     Graph,
     SearchBudgetError,
+    _genus_search,
+    complete_bipartite_graph,
     complete_graph,
     exact_genus,
     genus_of_rotation,
@@ -12,6 +16,21 @@ from genuslab import (
     trial_rng,
     two_core,
 )
+from brute_force import search_block_reference
+
+
+def _wheel(rim: int) -> Graph:
+    """A rim cycle on 0..rim-1, each rim vertex joined to the hub rim."""
+    return Graph(rim + 1, [(i, (i + 1) % rim) for i in range(rim)]
+                 + [(i, rim) for i in range(rim)])
+
+
+def _outcome(g: Graph, budget: int):
+    """exact_genus's result, or its budget bracket and node count."""
+    try:
+        return exact_genus(g, node_budget=budget)
+    except SearchBudgetError as e:
+        return e.lower_bound, e.upper_bound, e.nodes_explored
 
 
 def test_known_genus_values(fixtures, genus_of) -> None:
@@ -125,3 +144,35 @@ def test_planarity_agrees_with_networkx() -> None:
         res = exact_genus(g)
         assert (res.genus == 0) == nx.check_planarity(nxg)[0], g.edge_list()
         assert genus_of_rotation(g, res.rotation) == res.genus
+
+
+def test_search_matches_the_reference_kernel(monkeypatch, fixtures, corpus6) -> None:
+    full = 50_000_000
+    cases = [(g, full) for g in [*fixtures.values(), *corpus6, complete_bipartite_graph(3, 7)]]
+    for name in ("k5", "petersen"):
+        g = fixtures[name]
+        cases += [(g, b) for b in range(1, exact_genus(g).nodes_explored + 1)]
+    # K7 is not settled within millions of nodes, so it runs on a budget too;
+    # K9's vertices walk tables, the hub of W11 (degree 11) regenerates them
+    cases += [(complete_graph(7), 20_000), (complete_graph(9), 20_000), (_wheel(11), 20_000)]
+    got = [_outcome(g, b) for g, b in cases]
+    # with no tables every vertex with a choice regenerates its rotations
+    monkeypatch.setattr(_genus_search, "TABLE_DEGREE", 2)
+    untabled = [_outcome(g, b) for g, b in cases]
+    monkeypatch.setattr(_genus_search, "search_block", search_block_reference)
+    for (g, b), result, again in zip(cases, got, untabled):
+        assert result == again == _outcome(g, b), (g.edge_list(), b)
+
+
+def test_search_memory_stays_bounded() -> None:
+    # tables for every degree would hold all 7! orders of each K9 vertex, and
+    # a table for W11's hub would grow with the budget
+    for g, budget, limit_mb in ((complete_graph(9), 20_000, 8), (_wheel(11), 50_000, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError):
+                exact_genus(g, node_budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20, (g.n, peak)
