@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _EPS = np.finfo(float).eps
 
@@ -120,6 +119,8 @@ def cycle_count_limit(i: float) -> float:
     """
     if i < 0:
         raise ValueError("upper limit must be nonnegative")
+    from scipy import special
+
     return float(special.shichi(2.0 * i)[0])
 
 

@@ -212,17 +212,23 @@ def perturbation_upper_bound(base_genus: int, k: int) -> int:
     return base_genus + k
 
 
-def _biconnected_edge_blocks(graph: Graph) -> list[list[tuple[int, int]]]:
-    """Partition the edges into biconnected blocks (bridges are singletons)."""
+def _biconnected_edge_blocks(graph: Graph) -> tuple[list[list[tuple[int, int]]], int]:
+    """Partition the edges into biconnected blocks (bridges are singletons);
+    also returns the number of components, one per vertex that starts a
+    search, isolated vertices included."""
     n = graph.n
     adj = graph.adjacency_lists()
     disc = [-1] * n
     low = [0] * n
     timer = 0
+    kappa = 0
     blocks: list[list[tuple[int, int]]] = []
     edge_stack: list[tuple[int, int]] = []
     for s in range(n):
-        if disc[s] != -1 or len(adj[s]) == 0:
+        if disc[s] != -1:
+            continue
+        kappa += 1
+        if not adj[s]:
             continue
         disc[s] = low[s] = timer
         timer += 1
@@ -258,7 +264,7 @@ def _biconnected_edge_blocks(graph: Graph) -> list[list[tuple[int, int]]]:
                         if e == (u, v):
                             break
                     blocks.append(block)
-    return blocks
+    return blocks, kappa
 
 
 def _girth_upper(adj: list[list[int]]) -> int:
@@ -310,7 +316,8 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     # per block: (log of the rotation count, Euler girth bound, cycle-rank
     # bound, vertices, out darts, dart heads, girth)
     searchable = []
-    for block in _biconnected_edge_blocks(graph):
+    blocks, kappa = _biconnected_edge_blocks(graph)
+    for block in blocks:
         if len(block) == 1:
             u, v = block[0]
             arcs[u].append((v,))
@@ -353,6 +360,5 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     }
     if graph.n == 0:
         return GenusResult(0, 0, rotation, total_nodes)
-    kappa = graph.component_count
     face_count = graph.m - graph.n + kappa + 1 - 2 * total_genus
     return GenusResult(total_genus, face_count, rotation, total_nodes)

@@ -5,6 +5,12 @@ bounded-length cycle enumeration.
 Vertices are the integers 0..n-1.  Self-loops and parallel edges are
 rejected.  Storage is a numpy edge array plus a CSR adjacency, so the
 structural operations stay cheap at n around 10^6.
+
+Only component labels (Graph._components, behind component_count,
+component_labels and giant_component) and breadth-first search (_bfs,
+behind bfs_tree) run in scipy, through the adapter _csr_matrix; each
+imports scipy.sparse when first called.  Everything else here, the 2-core,
+kernel and cycle enumeration included, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,9 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order as _sp_breadth_first_order
-from scipy.sparse.csgraph import connected_components as _sp_connected_components
 
 
 class GraphError(ValueError):
@@ -47,10 +50,12 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr
 
 
-def _csr_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+def _csr_matrix(n: int, indptr: np.ndarray, indices: np.ndarray):
     """scipy view of a CSR adjacency on 0..n-1, every dart of weight 1.0;
     float64 is the weight type scipy's graph routines work in, so they make
     no copy of the weights."""
+    from scipy.sparse import csr_matrix
+
     return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
@@ -58,7 +63,9 @@ def _bfs(n: int, indptr: np.ndarray, indices: np.ndarray, root: int) -> tuple[np
     """bfs_tree over a CSR adjacency, whose darts are followed as given."""
     if not 0 <= root < n:
         raise GraphError("root out of range")
-    order, parent = _sp_breadth_first_order(
+    from scipy.sparse.csgraph import breadth_first_order
+
+    order, parent = breadth_first_order(
         _csr_matrix(n, indptr, indices), root, directed=True, return_predecessors=True
     )
     parent[parent < 0] = -1  # scipy marks the root and unreached vertices -9999
@@ -169,8 +176,10 @@ class Graph:
             if self._n == 0:
                 self._ncomp, self._labels = 0, np.zeros(0, dtype=np.int64)
             else:
+                from scipy.sparse.csgraph import connected_components
+
                 mat = _csr_matrix(self._n, self._indptr, self._indices)
-                ncomp, labels = _sp_connected_components(mat, directed=False)
+                ncomp, labels = connected_components(mat, directed=False)
                 self._ncomp, self._labels = int(ncomp), labels
         return self._ncomp, self._labels
 

@@ -47,7 +47,10 @@ class RegimeThresholds:
     linear_log_factor: the linear range ends at
         m = linear_log_factor * n * ln(n).
     near_linear_exponent: the near-linear range ends at
-        m = n**near_linear_exponent.
+        m = n**near_linear_exponent.  It starts where the linear range
+        ends, so with DEFAULT_THRESHOLDS it is n ln n < m <= n**1.05,
+        which is empty unless ln n < n**0.05; for n >= 3 that needs
+        ln n > 90 (n > 10**39), so the branch is asymptotic only.
     near_linear_slack: the near-linear prediction interval is
         [(1 - near_linear_slack) * m/2, m/2], rendering its "1 - o(1)" lower
         constant.

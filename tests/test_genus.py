@@ -69,13 +69,32 @@ def test_genus_of_trivial_graphs() -> None:
     assert exact_genus(Graph(2, [(0, 1)])).genus == 0
 
 
-def test_genus_adds_over_components() -> None:
+def _padded(g: Graph) -> Graph:
+    """g with one isolated vertex before it and one after it."""
+    return Graph(g.n + 2, [(u + 1, w + 1) for u, w in g.edge_list()])
+
+
+def test_genus_adds_over_components(fixtures, corpus6, genus_of) -> None:
+    import networkx as nx
+
     k5 = complete_graph(5)
     shifted = [(u + 5, w + 5) for u, w in k5.edge_list()]
     pair = Graph(10, k5.edge_list() + shifted)
     res = exact_genus(pair)
     assert res.genus == 2
     assert res.face_count == 9  # five faces per block, sharing one outer face
+    # exact_genus counts components itself: check its kappa on isolated vertices
+    k4 = [(u + 5, w + 5) for u, w in complete_graph(4).edge_list()]
+    cases = [(pair, 2), (Graph(3, []), 0), (Graph(11, k5.edge_list() + k4), 1)]
+    cases += [(_padded(g), genus_of(g)) for g in [*fixtures.values(), *corpus6]]
+    for g, genus in cases:
+        h = nx.Graph(g.edge_list())
+        h.add_nodes_from(range(g.n))
+        kappa = nx.number_connected_components(h)
+        assert g.component_count == kappa
+        res = exact_genus(g)
+        assert res.genus == genus
+        assert res.face_count == g.m - g.n + kappa + 1 - 2 * genus
 
 
 def test_genus_adds_over_blocks_of_a_barbell() -> None:

@@ -1,0 +1,46 @@
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import genuslab
+
+# Runs in a fresh interpreter, so nothing the test session imported counts.
+_PROGRAM = """
+import contextlib, io, json, sys
+import genuslab
+from genuslab import cli, exact_genus
+from genuslab.corpus import named_fixtures
+
+results = {name: exact_genus(g).genus for name, g in named_fixtures().items()}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(["genus", "exact", "--fixture", "petersen"])
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.sparse", "scipy.special", "scipy.linalg")))
+# the functions that import scipy when called still work afterwards
+g = genuslab.Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3)])
+print(json.dumps({
+    "rc": rc,
+    "petersen": json.loads(out.getvalue())["rows"][0]["genus"],
+    "k5": results["k5"],
+    "loaded": loaded,
+    "component_count": g.component_count,
+    "two_core": genuslab.two_core(g).old_labels.tolist(),
+    "cycle_count_limit": genuslab.cycle_count_limit(1.0),
+}))
+"""
+
+
+def test_exact_pipeline_loads_no_scipy_submodule() -> None:
+    src = str(Path(genuslab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _PROGRAM], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == []
+    assert (doc["rc"], doc["petersen"], doc["k5"]) == (0, 1, 1)
+    assert doc["component_count"] == 3
+    assert doc["two_core"] == [0, 1, 2]
+    assert doc["cycle_count_limit"] == genuslab.cycle_count_limit(1.0)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from genuslab import (
@@ -56,6 +58,14 @@ def test_near_linear_regime_via_custom_thresholds() -> None:
     lo, hi = p.predicted_genus
     assert hi == pytest.approx(7500 / 2)
     assert lo == pytest.approx(0.9 * 7500 / 2)
+
+
+def test_near_linear_is_unreachable_under_default_thresholds() -> None:
+    # n ln n < m <= n**1.05 is empty here: m just above n ln n is already
+    # past n**1.05, and m at n**1.05 is still below n ln n
+    n = 10**6
+    assert predict_genus(n, math.floor(n * math.log(n)) + 1).regime == "power_law_boundary"
+    assert predict_genus(n, math.ceil(n**1.05)).regime == "linear"
 
 
 def test_prediction_validates_inputs() -> None:
