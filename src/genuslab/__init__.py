@@ -28,12 +28,12 @@ from .graphs import (
     two_core,
 )
 from .random_models import (
-    EdgeProcess,
     add_uniform_edges,
     gnm,
     gnp,
     kappa_trajectory,
     trial_rng,
+    uniform_pairs,
 )
 from .embeddings import (
     FaceTrace,

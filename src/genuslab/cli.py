@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,7 +46,7 @@ from .asymptotics import (
     genus_per_edge,
     mc_cycle_count_limit,
 )
-from .census import predicted_core_excess, supercritical_report
+from .census import SupercriticalReport, predicted_core_excess, supercritical_report
 from .corpus import named_fixtures
 from .embeddings import (
     SearchBudgetError,
@@ -55,7 +56,7 @@ from .embeddings import (
     genus_upper_bound,
     trace_faces,
 )
-from .fragile import fragile_experiment
+from .fragile import FragileReport, fragile_experiment
 from .graphs import (
     CycleBudgetError,
     Graph,
@@ -74,15 +75,18 @@ from .regimes import contiguity_verdict, predict_genus
 OUT_DIR_ENV = "GENUSLAB_OUT_DIR"
 
 
-def _resolve_out(path: str | None) -> str | None:
-    """Relative output paths land under $GENUSLAB_OUT_DIR when it is set."""
-    if path is None:
-        return None
+def _write_text(text: str, out: str | None) -> None:
+    """Write text to stdout, or to the file out; relative paths land under
+    $GENUSLAB_OUT_DIR when it is set."""
+    if out is None:
+        sys.stdout.write(text)
+        return
     base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
+    if base and not os.path.isabs(out):
         os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+        out = os.path.join(base, out)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _report(config: dict, rows: list[dict], summary: dict, seconds: list[float]) -> dict:
@@ -124,25 +128,18 @@ def _write_output(
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    dest = _resolve_out(out)
-    if dest is None:
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(text, out)
 
 
-def _run_trials(worker, tasks: list, jobs: int) -> tuple[list[dict], list[float]]:
-    """Fan a picklable worker over tasks; rows come back in task order, so
-    the result is independent of the job count."""
+def _run_trials(worker, tasks: list, jobs: int) -> tuple[list, list[float]]:
+    """Fan a picklable worker over tasks; results come back in task order,
+    so they are independent of the job count."""
     if jobs <= 1:
         results = [worker(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, tasks))
-    rows = [row for row, _ in results]
-    seconds = [sec for _, sec in results]
-    return rows, seconds
+    return [out for out, _ in results], [sec for _, sec in results]
 
 
 def _load_input_graph(ns) -> Graph:
@@ -189,6 +186,8 @@ def _grid_dims(n: int) -> tuple[int, int]:
     return rows, max(1, n // rows)
 
 
+# the trials of one run share their base graph
+@functools.lru_cache(maxsize=1)
 def _build_base(kind: str, n: int, delta: int, seed) -> Graph:
     if kind == "path":
         return path_graph(n)
@@ -223,16 +222,14 @@ def _kappa_trial(task) -> tuple[dict, float]:
     return row, time.perf_counter() - t0
 
 
-def _census_trial(task) -> tuple[dict, float]:
-    n, s, ell, a, cap, master, index = task
+def _census_trial(task) -> tuple[SupercriticalReport, float]:
+    n, s, options, master, index = task
     t0 = time.perf_counter()
-    rep = supercritical_report(n, s, trial_rng(master, index), ell=ell, a=a, cap=cap)
-    row = {"trial_index": index, "seed": f"{master}:{index}"}
-    row.update(asdict(rep))
-    return row, time.perf_counter() - t0
+    rep = supercritical_report(n, s, trial_rng(master, index), **options)
+    return rep, time.perf_counter() - t0
 
 
-def _fragile_trial(task) -> tuple[dict, float]:
+def _fragile_trial(task) -> tuple[FragileReport, float]:
     source, delta, k, ell, master, index = task
     t0 = time.perf_counter()
     kind, value = source
@@ -242,10 +239,7 @@ def _fragile_trial(task) -> tuple[dict, float]:
         base_name, base_n = value
         H = _build_base(base_name, base_n, delta, master)
     rep = fragile_experiment(H, delta, k, trial_rng(master, index + 1), ell=ell)
-    row = {"trial_index": index}
-    row.update(asdict(rep))
-    row["seed"] = f"{master}:{index + 1}"
-    return row, time.perf_counter() - t0
+    return rep, time.perf_counter() - t0
 
 
 def _curve_point(task) -> tuple[dict, float]:
@@ -291,13 +285,7 @@ def _cmd_generate(ns) -> int:
         G = _build_base(model, ns.n, ns.delta, seed)
     else:
         raise ValueError(f"unknown model {model!r}")
-    text = format_edge_list(G)
-    dest = _resolve_out(ns.out)
-    if dest is None:
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(format_edge_list(G), ns.out)
     return 0
 
 
@@ -407,9 +395,14 @@ def _cmd_contiguity(ns) -> int:
 
 def _cmd_census(ns) -> int:
     tasks = [
-        (ns.n, ns.s, ns.ell, ns.a, ns.cap, ns.seed, i) for i in range(ns.trials)
+        (ns.n, ns.s, {"ell": ns.ell, "a": ns.a, "cap": ns.cap}, ns.seed, i)
+        for i in range(ns.trials)
     ]
-    rows, seconds = _run_trials(_census_trial, tasks, ns.jobs)
+    reports, seconds = _run_trials(_census_trial, tasks, ns.jobs)
+    rows = [
+        {"trial_index": i, "seed": f"{ns.seed}:{i}", **asdict(rep)}
+        for i, rep in enumerate(reports)
+    ]
     mean_excess = float(np.mean([r["core_excess"] for r in rows]))
     summary = {
         "s": ns.s,
@@ -476,7 +469,12 @@ def _cmd_fragile(ns) -> int:
     tasks = [
         (source, ns.delta, ns.k, ns.ell, ns.seed, i) for i in range(ns.trials)
     ]
-    rows, seconds = _run_trials(_fragile_trial, tasks, ns.jobs)
+    reports, seconds = _run_trials(_fragile_trial, tasks, ns.jobs)
+    # the seed column keeps the report's field position
+    rows = [
+        {"trial_index": i, **asdict(rep), "seed": f"{ns.seed}:{i + 1}"}
+        for i, rep in enumerate(reports)
+    ]
     positive = sum(1 for r in rows if r["genus_lower_gamma"] > 0)
     summary = {
         "trials": len(rows),
@@ -501,11 +499,14 @@ def _suite_asymptotics(ns) -> list[dict]:
 def _suite_mc_kappa(ns) -> list[dict]:
     n = ns.n or 100_000
     trials = ns.trials or 10
+    tasks = [
+        (n, lam, ns.seed, li * trials + t, t)
+        for li, lam in enumerate(KAPPA_LAMBDAS)
+        for t in range(trials)
+    ]
+    rows, _ = _run_trials(_kappa_trial, tasks, ns.jobs)
     deviations = {
-        lam: [
-            _kappa_trial((n, lam, ns.seed, li * trials + t, t))[0]["abs_deviation"]
-            for t in range(trials)
-        ]
+        lam: [r["abs_deviation"] for r in rows[li * trials:(li + 1) * trials]]
         for li, lam in enumerate(KAPPA_LAMBDAS)
     }
     return kappa_checks(deviations)
@@ -515,7 +516,8 @@ def _suite_supercritical(ns) -> list[dict]:
     n = ns.n or 1_000_000
     trials = ns.trials or 10
     s = ns.s or int(round(n**0.75))
-    reports = [supercritical_report(n, s, trial_rng(ns.seed, i)) for i in range(trials)]
+    tasks = [(n, s, {}, ns.seed, i) for i in range(trials)]
+    reports, _ = _run_trials(_census_trial, tasks, ns.jobs)
     return core_excess_checks(reports) + genus_upper_checks(reports)
 
 
@@ -523,11 +525,8 @@ def _suite_fragile(ns) -> list[dict]:
     n = ns.n or 100_000
     trials = ns.trials or 10
     k = ns.k or 5000
-    H = path_graph(n)
-    reports = [
-        fragile_experiment(H, 2, k, trial_rng(ns.seed, i + 1), ell=3)
-        for i in range(trials)
-    ]
+    tasks = [(("base", ("path", n)), 2, k, 3, ns.seed, i) for i in range(trials)]
+    reports, _ = _run_trials(_fragile_trial, tasks, ns.jobs)
     return fragile_checks(reports, n, k, 2)
 
 

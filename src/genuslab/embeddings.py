@@ -164,6 +164,19 @@ def genus_lower_bound_short_cycles(
     return genus_lower_bound_from_cycle_count(graph, max_cycle_length, short)
 
 
+def _euler_lower(n, m, kappa, ell: int, short=0):
+    """The Euler face-count bound of genus_lower_bound_short_cycles, for n
+    vertices, m edges, kappa components and short cycles of length at most
+    ell; 0 when the cycle rank m - n + kappa is not positive.  Every genus
+    lower bound in genuslab is this one.  Exact integer arithmetic,
+    elementwise on integer arrays; Python ints give a Python int.
+    """
+    rank = m - n + kappa
+    num = (rank + 1) * (ell + 1) - 2 * m - 2 * short * (ell - 2)
+    lower = -((-num) // (2 * (ell + 1)))
+    return lower * (lower > 0) * (rank > 0)
+
+
 def genus_lower_bound_from_cycle_count(
     graph: Graph, max_cycle_length: int, short: int
 ) -> int:
@@ -172,36 +185,26 @@ def genus_lower_bound_from_cycle_count(
     ell = int(max_cycle_length)
     if ell < 2:
         raise ValueError("max_cycle_length must be at least 2")
-    rank = graph.m - graph.n + graph.component_count
-    if rank <= 0:
-        return 0
-    # ceil over exact integers: F <= (2m + (ell-2)*2C) / (ell+1)
-    num = (rank + 1) * (ell + 1) - 2 * graph.m - 2 * short * (ell - 2)
-    den = 2 * (ell + 1)
-    return max(0, -((-num) // den))
+    return _euler_lower(graph.n, graph.m, graph.component_count, ell, short)
 
 
 def genus_lower_bound_density(graph: Graph) -> int:
-    """Edge-density lower bound: a genus-g graph on v >= 3 vertices has at
-    most 3v - 6 + 6g edges, so genus >= ceil((e - 3v + 6) / 6) per component.
+    """Edge-density lower bound: the Euler bound with no short faces (every
+    face of a simple graph has length >= 3) summed over the components.
+    For a component with v vertices, e edges and a cycle this is the
+    classical e <= 3v - 6 + 6g, i.e. genus >= ceil((e - 3v + 6) / 6).
 
-    Useful when the graph is too dense for a cycle census; agrees with the
-    short-cycle bound at ell = 3 when triangles are scarce.
+    Needs no cycle census, so it serves graphs too dense for one.  It is
+    never below the whole-graph bound genus_lower_bound_short_cycles(graph,
+    2), and agrees with the short-cycle bound at ell = 3 when triangles are
+    scarce.
     """
     if graph.n == 0:
         return 0
     ncomp, labels = graph.component_count, graph.component_labels()
     sizes = np.bincount(labels, minlength=ncomp)
-    e = graph.edge_array
-    if e.size:
-        edge_counts = np.bincount(labels[e[:, 0]], minlength=ncomp)
-    else:
-        edge_counts = np.zeros(ncomp, dtype=np.int64)
-    total = 0
-    for nv, ne in zip(sizes.tolist(), edge_counts.tolist()):
-        if nv >= 3:
-            total += max(0, -((-(ne - 3 * nv + 6)) // 6))
-    return total
+    edge_counts = np.bincount(labels[graph.edge_array[:, 0]], minlength=ncomp)
+    return int(_euler_lower(sizes, edge_counts, 1, 2).sum())
 
 
 def perturbation_upper_bound(base_genus: int, k: int) -> int:
@@ -293,14 +296,6 @@ def _girth_upper(adj: list[list[int]]) -> int:
     return best
 
 
-def _block_lower_bound(nv: int, ne: int, girth: int) -> int:
-    """Euler-formula lower bound for a 2-connected block: every face walk has
-    length >= girth, so f <= floor(2e / girth)."""
-    num = (ne - nv + 2) * girth - 2 * ne
-    den = 2 * girth
-    return max(0, -((-num) // den))
-
-
 def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     """Minimum orientable genus by branch-and-bound search over rotation systems.
 
@@ -335,7 +330,7 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
         space = sum(math.lgamma(len(outs)) for outs in out_darts)
         girth = _girth_upper([[heads[d] for d in outs] for outs in out_darts])
         nv, ne = len(verts), len(block)
-        searchable.append((space, _block_lower_bound(nv, ne, girth),
+        searchable.append((space, _euler_lower(nv, ne, 1, girth - 1),
                            (ne - nv + 1) // 2, verts, out_darts, heads, girth))
     # cheap blocks first so a budget overrun brackets as tightly as possible
     searchable.sort(key=lambda t: t[0])

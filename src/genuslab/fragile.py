@@ -54,10 +54,11 @@ class FragileReport:
     """Result of one amplification trial.
 
     genus_lower_gamma is a certified lower bound for the genus of the
-    perturbed graph: in the standard branch it is the Euler-formula bound on
-    the core quotient (a minor), and in the dense branch (k >= 6n, where
+    perturbed graph: in the standard branch it is the short-cycle Euler bound
+    on the core quotient (a minor), and in the dense branch (k >= 6n, where
     decomposition is bypassed and t, s, gamma_edges, good_edge_count are
-    reported as 0) it is the Euler-formula bound on the random edges alone.
+    reported as 0) it is the density bound, genus_lower_bound_density, of
+    the graph of random edges alone (a subgraph).
     upper_bound is the base graph's genus bound plus one per added edge.
     good_edge_count, the number of added edges that join a new pair of
     cores, always equals gamma_edges.
@@ -245,8 +246,9 @@ def fragile_experiment(
     random pairs, and lower-bounds the genus of the perturbed graph by the
     short-cycle Euler bound (census length ell) on the core quotient.
     When k >= 6n the random edges are dense enough on their own:
-    decomposition is bypassed and the lower bound is computed directly from
-    the random-edge graph, whose every face has length at least 3.
+    decomposition is bypassed and the lower bound is the density bound of
+    the random-edge graph (every face of length at least 3, summed over
+    its components).
     The piece count is checked against its guaranteed interval
     (n - l*Delta)/(l*Delta^2) <= t <= n/(l*Delta).
     """
@@ -258,15 +260,11 @@ def fragile_experiment(
     upper = perturbation_upper_bound(genus_upper_bound(H), k)
     added = uniform_pairs(n, k, seed)
     if k >= 6 * n:
-        R_graph = Graph(n, added)
-        lower = max(
-            genus_lower_bound_short_cycles(R_graph, 2),
-            genus_lower_bound_density(R_graph),
-        )
         return FragileReport(
             n=n, k=k, Delta=Delta, l=l, t=0, s=0,
             gamma_edges=0, good_edge_count=0,
-            genus_lower_gamma=lower, upper_bound=upper, seed=seed,
+            genus_lower_gamma=genus_lower_bound_density(Graph(n, added)),
+            upper_bound=upper, seed=seed,
         )
     d = select_cores(H, decompose_into_pieces(H, l, Delta))
     lo_t = (n - l * Delta) / (l * Delta**2)

@@ -1,10 +1,11 @@
-"""Random graph models: uniform G(n, m), binomial G(n, p), the uniform random
-edge ordering behind component-count trajectories, and edge perturbation.
+"""Random graph models: uniform G(n, m), binomial G(n, p), component-count
+trajectories along a uniform edge ordering, and edge perturbation.
 
-Sampling draws the first k distinct values of an iid uniform stream over all
-vertex pairs, which is exactly sampling without replacement: the resulting
-edge set is a uniform k-subset and its order is a uniform ordering.  Pairs
-are encoded colexicographically as v*(v-1)/2 + u for u < v.
+Every edge stream comes from uniform_pairs, which draws the first k distinct
+values of an iid uniform stream over all vertex pairs.  That is exactly
+sampling without replacement: the edge set is a uniform k-subset, its order
+is a uniform ordering, and so every prefix of length j is a G(n, j) sample.
+Pairs are encoded colexicographically as v*(v-1)/2 + u for u < v.
 """
 
 from __future__ import annotations
@@ -71,55 +72,16 @@ def gnp(n: int, p: float, seed=None) -> Graph:
     return Graph(n, uniform_pairs(n, m, rng))
 
 
-class EdgeProcess:
-    """Uniformly ordered stream of the distinct edges on n vertices.
-
-    take(k) returns the next k edges; the concatenation of all takes is a
-    uniform random ordering of all pairs, so any prefix of length m is a
-    G(n, m) sample.
-    """
-
-    def __init__(self, n: int, seed=None):
-        self.n = n
-        self._N = n * (n - 1) // 2
-        self._rng = _rng_of(seed)
-        self._seen: set[int] = set()
-
-    @property
-    def remaining(self) -> int:
-        return self._N - len(self._seen)
-
-    def take(self, k: int) -> np.ndarray:
-        """Next k edges as an (k, 2) array in draw order."""
-        if k > self.remaining:
-            raise GraphError(f"only {self.remaining} edges remain")
-        out = np.empty(k, dtype=np.int64)
-        got = 0
-        seen = self._seen
-        while got < k:
-            batch = self._rng.integers(0, self._N, size=max(64, 2 * (k - got)),
-                                       dtype=np.int64).tolist()
-            for code in batch:
-                if code not in seen:
-                    seen.add(code)
-                    out[got] = code
-                    got += 1
-                    if got == k:
-                        break
-        return _decode_pairs(out)
-
-
 def kappa_trajectory(n: int, m_max: int, seed=None) -> np.ndarray:
-    """Component counts along one edge process: entry j is the number of
-    components after the first j edges, so entry 0 is n."""
-    edges = EdgeProcess(n, seed).take(m_max)
+    """Component counts along one uniform edge ordering: entry j is the
+    number of components after the first j pairs of uniform_pairs(n, m_max,
+    seed), a G(n, j) sample, so entry 0 is n."""
     parent = list(range(n))
     size = [1] * n
     out = np.empty(m_max + 1, dtype=np.int64)
     out[0] = n
     ncomp = n
-    for j in range(m_max):
-        a, b = int(edges[j, 0]), int(edges[j, 1])
+    for j, (a, b) in enumerate(uniform_pairs(n, m_max, seed).tolist(), 1):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -132,7 +94,7 @@ def kappa_trajectory(n: int, m_max: int, seed=None) -> np.ndarray:
             parent[b] = a
             size[a] += size[b]
             ncomp -= 1
-        out[j + 1] = ncomp
+        out[j] = ncomp
     return out
 
 

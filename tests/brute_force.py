@@ -31,6 +31,22 @@ def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:
     return found
 
 
+def nx_density_bound(G: Graph) -> int:
+    """Sum over the networkx components with a cycle of the girth-3 Euler
+    bound ceil((e - 3v + 6) / 6), floored at 0."""
+    import networkx as nx
+
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edge_list())
+    total = 0
+    for comp in nx.connected_components(H):
+        v, e = len(comp), H.subgraph(comp).number_of_edges()
+        if e >= v:
+            total += max(0, -((3 * v - 6 - e) // 6))
+    return total
+
+
 def dfs_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:
     """Every simple cycle of length <= max_length, in enumerate_cycles's
     canonical form and order, by a depth-first walk of every simple path of

@@ -165,6 +165,19 @@ def test_parallel_trials_match_serial(tmp_path) -> None:
     assert serial.read_text() == parallel.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fragile", "--n", "20000", "--k", "1000", "--trials", "2"],
+    ["supercritical", "--n", "20000", "--trials", "2"],
+])
+def test_suite_rows_do_not_depend_on_jobs(tmp_path, argv) -> None:
+    base = ["suite", *argv, "--seed", "9", "--format", "csv"]
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    rc = main(base + ["--out", str(serial), "--jobs", "1"])
+    assert main(base + ["--out", str(parallel), "--jobs", "2"]) == rc
+    assert serial.read_text() == parallel.read_text()
+
+
 def test_mc_kappa_with_zero_density(capsys) -> None:
     rc, doc = _run_json(capsys, ["mc", "kappa", "--n", "500", "--lam", "0.0",
                                  "--trials", "1", "--seed", "1"])

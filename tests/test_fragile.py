@@ -23,9 +23,10 @@ from genuslab import (
     perturbation_upper_bound,
     select_cores,
     trial_rng,
+    uniform_pairs,
 )
 from genuslab.corpus import amplification_showcase
-from brute_force import bfs_cores, bfs_pieces
+from brute_force import bfs_cores, bfs_pieces, nx_density_bound
 
 
 def _random_bounded_tree(n: int, max_degree: int, rng) -> Graph:
@@ -185,6 +186,8 @@ def test_fragile_experiment_dense_branch() -> None:
     assert rep.s == 0
     assert rep.gamma_edges == 0
     assert rep.genus_lower_gamma > 0
+    # the density bound of the random edges alone, the pairs drawn by seed
+    assert rep.genus_lower_gamma == nx_density_bound(Graph(50, uniform_pairs(50, 400, 5)))
     assert rep.upper_bound == 400  # base path is planar
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import networkx as nx
+
 from genuslab import (
     Graph,
     add_uniform_edges,
@@ -11,13 +13,15 @@ from genuslab import (
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
     genus_upper_bound,
+    gnm,
     trace_faces,
     trial_rng,
     two_core,
 )
+from genuslab import _genus_search
 from genuslab.corpus import named_fixtures
 
-from brute_force import brute_cycles
+from brute_force import brute_cycles, nx_density_bound
 
 
 def _random_connected_parts(G: Graph, rng) -> list[list[int]]:
@@ -123,6 +127,48 @@ def test_bounds_sandwich_the_exact_genus(corpus6, genus_of) -> None:
         for ell in (2, 3, 4):
             assert genus_lower_bound_short_cycles(g, ell) <= exact
         assert exact <= genus_upper_bound(g)
+
+
+def _bound_sweep(corpus6) -> list[Graph]:
+    """The corpus, the fixtures, gnm graphs on at most 40 vertices, and
+    disjoint unions padded with isolated vertices and K2 components."""
+    graphs = list(corpus6) + list(named_fixtures().values())
+    rng = trial_rng(515, 7)
+    for _ in range(80):
+        n = int(rng.integers(1, 41))
+        top = n * (n - 1) // 2 if rng.random() < 0.3 else min(n * (n - 1) // 2, 3 * n)
+        graphs.append(gnm(n, int(rng.integers(0, top + 1)), rng))
+    point, k2 = Graph(1, []), Graph(2, [(0, 1)])
+    for i in rng.choice(len(graphs), 30, replace=False):
+        g = _disjoint_union(_disjoint_union(point, graphs[int(i)]), k2)
+        graphs.append(_disjoint_union(_disjoint_union(g, point), graphs[int(i) - 1]))
+    return graphs + [point, k2, _disjoint_union(point, k2)]
+
+
+def test_every_lower_bound_is_the_one_euler_bound(corpus6, monkeypatch) -> None:
+    # each block's start bound, as exact_genus hands it to the search
+    seen = []
+
+    def record(out_darts, girth, lower, budget):
+        seen.append((len(out_darts), sum(map(len, out_darts)) // 2, girth, lower))
+        return lower, lower, out_darts, 0
+
+    monkeypatch.setattr(_genus_search, "search_block", record)
+    for g in _bound_sweep(corpus6):
+        density = genus_lower_bound_density(g)
+        assert density == nx_density_bound(g)
+        assert genus_lower_bound_short_cycles(g, 2) <= density
+        seen.clear()
+        exact_genus(g)
+        H = nx.Graph(g.edge_list())
+        expect = []
+        for block in nx.biconnected_component_edges(H):
+            B = nx.Graph(block)
+            v, e, girth = B.number_of_nodes(), B.number_of_edges(), nx.girth(B)
+            if e > 1:
+                expect.append((v, e, girth, max(0, -((2 * e - (e - v + 2) * girth) // (2 * girth)))))
+        assert sorted(seen) == sorted(expect)
+        assert all(type(lower) is int for *_, lower in seen)
 
 
 def test_edge_count_obeys_the_density_law(corpus6, genus_of) -> None:

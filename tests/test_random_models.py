@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from genuslab import (
-    EdgeProcess,
     Graph,
     GraphError,
     add_uniform_edges,
@@ -14,6 +13,7 @@ from genuslab import (
     kappa_trajectory,
     path_graph,
     trial_rng,
+    uniform_pairs,
 )
 from genuslab.random_models import _ordered_distinct
 
@@ -76,21 +76,17 @@ def test_ordered_distinct_matches_a_stream_scan() -> None:
         assert refills, (N, k)  # the refill loop ran
 
 
-def test_edge_process_draws_every_pair_once() -> None:
-    proc = EdgeProcess(6, seed=5)
-    assert proc.remaining == 15
-    first = proc.take(4)
-    assert first.shape == (4, 2)
-    rest = proc.take(proc.remaining)
-    assert proc.remaining == 0
-    seen = {tuple(sorted(e)) for e in np.vstack([first, rest]).tolist()}
-    assert len(seen) == 15
+def test_uniform_pairs_draws_every_pair_once() -> None:
+    drawn = uniform_pairs(6, 15, seed=5)
+    assert drawn.shape == (15, 2)
+    assert all(u < v for u, v in drawn.tolist())
+    assert {tuple(e) for e in drawn.tolist()} == {(u, v) for v in range(6) for u in range(v)}
     with pytest.raises(GraphError):
-        proc.take(1)
+        uniform_pairs(6, 16, seed=5)
 
 
-def test_edge_process_prefix_is_a_valid_graph() -> None:
-    drawn = EdgeProcess(40, seed=21).take(60)
+def test_uniform_pairs_prefix_is_a_valid_graph() -> None:
+    drawn = uniform_pairs(40, 60, seed=21)
     g = Graph(40, [tuple(e) for e in drawn.tolist()])
     assert g.m == 60
 
@@ -105,10 +101,10 @@ def test_kappa_trajectory_steps_down_by_merges() -> None:
     assert int(steps.max()) <= 1
 
 
-def test_kappa_trajectory_matches_edge_process_prefixes() -> None:
+def test_kappa_trajectory_matches_uniform_pairs_prefixes() -> None:
     traj = kappa_trajectory(40, 100, seed=9)
-    drawn = EdgeProcess(40, seed=9).take(100)
-    for j in (0, 5, 50, 100):
+    drawn = uniform_pairs(40, 100, seed=9)
+    for j in range(101):
         g = Graph(40, [tuple(e) for e in drawn[:j].tolist()])
         assert g.component_count == traj[j]
 
