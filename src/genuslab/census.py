@@ -24,7 +24,7 @@ from .embeddings import genus_lower_bound_from_cycle_count, genus_upper_bound
 from .graphs import (
     Graph,
     GraphError,
-    InducedSubgraph,
+    _core_degrees,
     enumerate_cycles,
     giant_label,
     induced_subgraph,
@@ -40,8 +40,8 @@ class CycleNeighborhood:
     leaf_size counts the vertices of all tree components hanging off the
     cycle by exactly one edge, and tree_components counts those components.
     good and bad count the remaining outside vertices adjacent to exactly
-    one, respectively more than one, cycle vertex.  neighbor_count is the
-    total number of outside vertices adjacent to the cycle; it always equals
+    one, respectively more than one, cycle vertex.  neighbor_count, the
+    total number of outside vertices adjacent to the cycle, is
     good + bad + tree_components, since a once-attached tree meets the cycle
     in exactly one of its vertices.
     """
@@ -51,26 +51,27 @@ class CycleNeighborhood:
     good: int
     bad: int
     tree_components: int
-    neighbor_count: int
+
+    @property
+    def neighbor_count(self) -> int:
+        return self.good + self.bad + self.tree_components
 
 
-def classify_cycle_neighborhood(
-    G: Graph, cycle, core: InducedSubgraph | None = None
-) -> CycleNeighborhood:
+def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
     """Split the vertices adjacent to the given cycle into leaf trees, good
     neighbours, and bad neighbours.
 
     cycle is a sequence of distinct vertices with consecutive ones (and the
     last and first) adjacent in G.  Chords between cycle vertices are
     allowed and ignored; only the vertex set of the cycle matters for the
-    classification.  core is two_core(G), computed when omitted; the result
-    does not depend on it.
+    classification.
 
     A cycle lies in the 2-core, so an outside vertex w attached to it by
     exactly one edge roots a once-attached tree exactly when w is outside
     the 2-core: a cycle in w's component of G - cycle, or a second edge
     from that component back to the cycle, would put w on a cycle or on a
-    path between two cycles.  Only the leaf trees themselves are walked.
+    path between two cycles.  Membership is read from the 2-core degrees
+    cached on G, and only the leaf trees themselves are walked.
     """
     cyc = [int(v) for v in cycle]
     k = len(cyc)
@@ -83,8 +84,6 @@ def classify_cycle_neighborhood(
             raise GraphError(
                 f"not a cycle of the graph: missing edge {v}-{cyc[(idx + 1) % k]}"
             )
-    if core is None:
-        core = two_core(G)
     on_cycle = set(cyc)
     attach: dict[int, int] = {}
     for v in cyc:
@@ -92,8 +91,7 @@ def classify_cycle_neighborhood(
             if w not in on_cycle:
                 attach[w] = attach.get(w, 0) + 1
     once = np.array([w for w, c in attach.items() if c == 1], dtype=np.int64)
-    labels = core.old_labels  # sorted, and not empty: the cycle is in it
-    in_core = labels.take(np.searchsorted(labels, once), mode="clip") == once
+    in_core = _core_degrees(G)[once] > 0
 
     leaf_size = 0
     for root in once[~in_core].tolist():
@@ -113,13 +111,11 @@ def classify_cycle_neighborhood(
         good=good,
         bad=bad,
         tree_components=tree_components,
-        neighbor_count=len(attach),
     )
 
 
 def count_census_cycles(
-    G: Graph, s: int, i: float, cap: int = 10_000_000,
-    core: InducedSubgraph | None = None,
+    G: Graph, s: int, i: float, cap: int = 10_000_000
 ) -> tuple[int, float]:
     """Count cycles passing the four census thresholds; returns (count, x).
 
@@ -130,10 +126,9 @@ def count_census_cycles(
       - it has between 1 and x*n/s good neighbours (inclusive),
       - it has no bad neighbours.
 
-    Cycles are enumerated on the 2-core (every cycle of G lives there) and
-    their neighbourhoods are classified in G itself.  core is two_core(G),
-    computed when omitted.  The count is non-decreasing in i for a fixed
-    graph.
+    Cycles are enumerated and classified in G itself; both steps read the
+    2-core cached on G, so G is peeled at most once.  The count is
+    non-decreasing in i for a fixed graph.
     """
     n = G.n
     if s <= 0:
@@ -141,20 +136,11 @@ def count_census_cycles(
     if i < 0:
         raise ValueError("i must be nonnegative")
     x = 0.05 * math.log(s**3 / n**2)
-    max_len = math.floor(i * n / s)
-    if max_len < 3:
-        return 0, x
-    if core is None:
-        core = two_core(G)
-    if core.graph.n == 0:
-        return 0, x
     leaf_cap = x * n * n / (s * s)
     good_cap = x * n / s
     count = 0
-    for cyc in enumerate_cycles(core.graph, max_len, cap=cap):
-        stats = classify_cycle_neighborhood(
-            G, [int(core.old_labels[v]) for v in cyc], core
-        )
+    for cyc in enumerate_cycles(G, math.floor(i * n / s), cap=cap):
+        stats = classify_cycle_neighborhood(G, cyc)
         if (
             stats.bad == 0
             and 1 <= stats.good <= good_cap
@@ -201,19 +187,13 @@ def find_small_excess_subgraph(
     max_vertices, whose union (plus a shortest connecting path when they are
     vertex-disjoint) is itself a witness, so a pair search over the
     enumerated short cycles is exhaustive.  The smallest witness found is
-    returned.  The search runs on the 2-core: every cycle lives there, and a
-    simple path between core vertices cannot shortcut through the pendant
-    trees.
+    returned.  Every cycle lives in the 2-core, and so does every simple
+    path between two cycles, so the connecting path never enters a pendant
+    tree.
     """
     if max_vertices < 4:
         return None  # e > v needs at least 4 vertices in a simple graph
-    core = two_core(G)
-    H = core.graph
-    if H.n == 0:
-        return None
-    cycles = enumerate_cycles(H, max_vertices, cap=cap)
-    if len(cycles) < 2:
-        return None
+    cycles = enumerate_cycles(G, max_vertices, cap=cap)
     sets = [frozenset(c) for c in cycles]
     best: set[int] | None = None
     for a in range(len(sets)):
@@ -230,14 +210,12 @@ def find_small_excess_subgraph(
             base = len(sets[a]) + len(sets[b])
             if base > max_vertices or (best is not None and base >= len(best)):
                 continue
-            inner = _connecting_path(H, sets[a], sets[b], max_vertices - base)
+            inner = _connecting_path(G, sets[a], sets[b], max_vertices - base)
             if inner is not None:
                 union = set(sets[a]) | set(sets[b]) | set(inner)
                 if best is None or len(union) < len(best):
                     best = union
-    if best is None:
-        return None
-    return tuple(sorted(int(core.old_labels[v]) for v in best))
+    return None if best is None else tuple(sorted(best))
 
 
 def neighborhood_bounds_hold(
@@ -254,18 +232,10 @@ def neighborhood_bounds_hold(
     if s <= 0:
         raise ValueError("s must be positive")
     n = G.n
-    max_len = math.ceil(a * n / s) - 1
-    if max_len < 3:
-        return True
-    core = two_core(G)
-    if core.graph.n == 0:
-        return True
     leaf_cap = a * a * n * n / (s * s)
     nb_cap = a * a * n / s
-    for cyc in enumerate_cycles(core.graph, max_len, cap=cap):
-        stats = classify_cycle_neighborhood(
-            G, [int(core.old_labels[v]) for v in cyc], core
-        )
+    for cyc in enumerate_cycles(G, math.ceil(a * n / s) - 1, cap=cap):
+        stats = classify_cycle_neighborhood(G, cyc)
         if stats.leaf_size >= leaf_cap or stats.neighbor_count >= nb_cap:
             return False
     return True
@@ -355,7 +325,7 @@ def supercritical_report(
         all_cores.graph, np.flatnonzero(labels[all_cores.old_labels] == giant)
     ).graph
     short_cycles = len(enumerate_cycles(core, ell, cap=cap))
-    z_count, x = count_census_cycles(G, s, a, cap=cap, core=all_cores)
+    z_count, x = count_census_cycles(G, s, a, cap=cap)
     return SupercriticalReport(
         n=n,
         m=m,

@@ -60,7 +60,6 @@ from .fragile import FragileReport, fragile_experiment
 from .graphs import (
     CycleBudgetError,
     Graph,
-    GraphError,
     complete_graph,
     cycle_graph,
     format_edge_list,
@@ -562,9 +561,8 @@ def _cmd_suite(ns) -> int:
 
 def _config_of(ns) -> dict:
     config = {}
-    skip = {"func"}
     for key, value in sorted(vars(ns).items()):
-        if key in skip or callable(value):
+        if callable(value):
             continue
         if isinstance(value, tuple):
             value = list(value)
@@ -723,10 +721,7 @@ def main(argv: list[str] | None = None) -> int:
     except CycleBudgetError as exc:
         return _report_failure(ns, {"error": "cycle budget exhausted",
                                     "cap": exc.cap, "max_length": exc.max_length})
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

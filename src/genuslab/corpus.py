@@ -130,8 +130,6 @@ def amplification_showcase() -> tuple[
         Delta=2,
         pieces=((0, 1, 8), (2, 3), (4, 5), (6, 7)),
         cores=((0, 1), (2, 3), (4, 5), (6, 7)),
-        s=2,
-        t=4,
     )
     extra = ((9, 4), (4, 5), (5, 8), (3, 6), (1, 2), (0, 3))
     return H, d, extra

@@ -45,8 +45,14 @@ class PieceDecomposition:
     Delta: int
     pieces: tuple[tuple[int, ...], ...]
     cores: tuple[tuple[int, ...], ...]
-    s: int
-    t: int
+
+    @property
+    def t(self) -> int:
+        return len(self.pieces)
+
+    @property
+    def s(self) -> int:
+        return min(len(p) for p in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -156,14 +162,7 @@ def decompose_into_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
     label, t = _piece_labels(H, target)
     covered = np.flatnonzero(label < t)
     pieces = _groups(covered, label[covered], t)
-    return PieceDecomposition(
-        l=l,
-        Delta=Delta,
-        pieces=pieces,
-        cores=(),
-        s=min(len(p) for p in pieces),
-        t=t,
-    )
+    return PieceDecomposition(l=l, Delta=Delta, pieces=pieces, cores=())
 
 
 def _search_within_labels(H: Graph, label: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -205,9 +204,7 @@ def select_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
     rank = np.arange(len(by_piece)) - np.repeat(np.cumsum(counts) - counts, counts)
     core = np.sort(by_piece[rank < d.s])
     cores = _groups(core, label[core], t)
-    return PieceDecomposition(
-        l=d.l, Delta=d.Delta, pieces=d.pieces, cores=cores, s=d.s, t=d.t
-    )
+    return PieceDecomposition(l=d.l, Delta=d.Delta, pieces=d.pieces, cores=cores)
 
 
 def build_quotient(d: PieceDecomposition, edges) -> Graph:

@@ -11,6 +11,10 @@ component_labels and giant_component) and breadth-first search (_bfs,
 behind bfs_tree) run in scipy, through the adapter _csr_matrix; each
 imports scipy.sparse when first called.  Everything else here, the 2-core,
 kernel and cycle enumeration included, runs on numpy alone.
+
+A Graph caches its component labels and its read-only 2-core degrees
+(_core_degrees, behind two_core, kernel and enumerate_cycles), each
+computed at most once, whichever function asks first.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class Graph:
     fit in int64 while n < 3*10^9.
     """
 
-    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp")
+    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_core_deg")
 
     def __init__(self, n: int, edges=()):
         n = int(n)
@@ -134,6 +138,7 @@ class Graph:
         self._indices.setflags(write=False)
         self._labels = None
         self._ncomp = None
+        self._core_deg = None
 
     @property
     def n(self) -> int:
@@ -267,6 +272,7 @@ def _dart_positions(ptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 def _core_degrees(G: Graph) -> np.ndarray:
     """Degree of each vertex in the 2-core, or 0 for a vertex outside it.
 
+    The array is read-only and cached on G, so G is peeled at most once.
     Frontier peel over the CSR arrays: each round removes the live vertices
     of degree below 2 and lowers the degrees of their live neighbours, which
     form the next frontier when they drop below 2.  Only the darts of
@@ -274,6 +280,8 @@ def _core_degrees(G: Graph) -> np.ndarray:
     round also has a fixed cost, and a pendant path of length L takes
     about L rounds.
     """
+    if G._core_deg is not None:
+        return G._core_deg
     ind = G._indices
     deg = G.degrees()
     alive = deg > 0  # isolated vertices have no darts to read
@@ -285,12 +293,14 @@ def _core_degrees(G: Graph) -> np.ndarray:
         deg[hit] -= drop
         frontier = hit[deg[hit] < 2]
     deg[~alive] = 0
+    deg.setflags(write=False)
+    G._core_deg = deg
     return deg
 
 
 def two_core(G: Graph) -> InducedSubgraph:
-    """Maximal subgraph with minimum degree 2 (empty if none exists), peeled
-    in O(n + m) work by _core_degrees."""
+    """Maximal subgraph with minimum degree 2 (empty if none exists), from
+    the peel _core_degrees caches on G."""
     return induced_subgraph(G, np.flatnonzero(_core_degrees(G)))
 
 

@@ -233,14 +233,7 @@ def bfs_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
                     if not detached[c]:
                         stack.append(c)
             pieces.append(tuple(sorted(comp)))
-    return PieceDecomposition(
-        l=l,
-        Delta=Delta,
-        pieces=tuple(pieces),
-        cores=(),
-        s=min(len(p) for p in pieces),
-        t=len(pieces),
-    )
+    return PieceDecomposition(l=l, Delta=Delta, pieces=tuple(pieces), cores=())
 
 
 def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
@@ -269,9 +262,7 @@ def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
                     if len(taken) == d.s:
                         break
         cores.append(tuple(sorted(taken[: d.s])))
-    return PieceDecomposition(
-        l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores), s=d.s, t=d.t
-    )
+    return PieceDecomposition(l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores))
 
 
 # Reference for genuslab._genus_search.search_block: the same search, but it

@@ -114,10 +114,8 @@ def test_classification_by_core_matches_brute_force() -> None:
         h = gnm(n, m, seed=(59, t))
         cases.append((h, enumerate_cycles(h, 8)))
     for h, cycles in cases:
-        core = two_core(h)
         for cyc in cycles:
             cn = classify_cycle_neighborhood(h, cyc)
-            assert classify_cycle_neighborhood(h, cyc, core) == cn
             got = (cn.leaf_size, cn.good, cn.bad, cn.tree_components,
                    cn.neighbor_count)
             assert got == brute_classify(h, cyc)
@@ -180,6 +178,24 @@ def test_excess_witness_needs_four_vertices(corpus6) -> None:
         assert find_small_excess_subgraph(g, 3) is None
 
 
+def test_census_on_forests_and_below_length_three() -> None:
+    star = Graph(9, [(0, v) for v in range(1, 9)])
+    forests = [path_graph(10), star, Graph(5), gnm(40, 12, seed=(97, 0))]
+    assert all(two_core(f).graph.n == 0 for f in forests)
+    for f in forests:
+        for s in (1, 2, 5):
+            assert count_census_cycles(f, s, 10.0) == (0, 0.05 * math.log(s**3 / f.n**2))
+            assert neighborhood_bounds_hold(f, 10.0, s) is True
+        assert find_small_excess_subgraph(f, f.n) is None
+    # K6 is full of short cycles, but none of length below 3; every
+    # triangle has 3 neighbours, above the neighbour cap 1.5 at a = 0.5
+    k6 = complete_graph(6)
+    assert count_census_cycles(k6, 6, 2.9)[0] == 0
+    assert neighborhood_bounds_hold(k6, 0.5, 1) is True
+    assert neighborhood_bounds_hold(k6, 0.55, 1) is False
+    assert find_small_excess_subgraph(k6, 3) is None
+
+
 def test_neighborhood_bounds_flag() -> None:
     edges = [(0, 1), (1, 2), (0, 2)] + [(0, v) for v in range(3, 11)]
     g = Graph(11, edges)
@@ -220,7 +236,6 @@ def test_supercritical_report_in_window() -> None:
         assert rep.genus_lower == genus_lower_bound_short_cycles(core, ell)
         assert rep.census_cycle_count == count_census_cycles(G, 500, a)[0]
         all_cores = two_core(G)
-        assert count_census_cycles(G, 500, a, core=all_cores) == count_census_cycles(G, 500, a)
         if seed == 23:
             assert all_cores.graph.n > core.n
             assert all_cores.graph.component_count > 1

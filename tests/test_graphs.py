@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import numpy as np
@@ -29,6 +30,9 @@ from genuslab import (
     save_edge_list,
     two_core,
 )
+from genuslab.census import classify_cycle_neighborhood
+from genuslab.corpus import census_showcase, named_fixtures
+from genuslab.graphs import _core_degrees
 from brute_force import brute_cycles, dfs_cycles
 
 
@@ -403,6 +407,46 @@ def test_kernel_partitions_the_core() -> None:
         for ring in k.rings:
             assert all(deg[v] == 2 for v in ring)
             assert ring[0] == min(ring) and ring[1] < ring[-1]
+
+
+def test_cycles_of_a_graph_are_the_cycles_of_its_core() -> None:
+    # the census enumerates on G and relies on the same list, in the same
+    # order, as enumerating on two_core(G) and mapping back through old_labels
+    graphs = list(named_fixtures().values())
+    for seed in range(12):
+        n = 20 + 5 * seed
+        g = gnm(n, n * (2 + seed % 4) // 4, seed=(83, seed))
+        # every odd label isolated, so core labels and G labels differ
+        graphs.append(Graph(2 * n, 2 * g.edge_array))
+    for g in graphs:
+        core = two_core(g)
+        for max_len in (2, 3, 4, 6, g.n):
+            mapped = [tuple(core.old_labels[list(c)].tolist())
+                      for c in enumerate_cycles(core.graph, max_len)]
+            assert enumerate_cycles(g, max_len) == mapped
+
+
+def test_core_degrees_are_peeled_once_and_read_only() -> None:
+    showcase, cycle = census_showcase()
+    g = gnm(60, 70, seed=(89, 1))
+    calls = {
+        "two_core": lambda h, cyc: two_core(h),
+        "kernel": lambda h, cyc: kernel(h),
+        "classify": lambda h, cyc: classify_cycle_neighborhood(h, cyc),
+    }
+    for base, cyc in ((showcase, cycle), (g, enumerate_cycles(g, g.n)[0])):
+        expect = _core_degrees(Graph(base.n, base.edge_array)).copy()
+        for order in itertools.permutations(calls):
+            h = Graph(base.n, base.edge_array)
+            calls[order[0]](h, cyc)
+            deg = _core_degrees(h)  # the array the first call cached
+            for name in order[1:]:
+                calls[name](h, cyc)
+                assert _core_degrees(h) is deg
+            assert not deg.flags.writeable
+            assert np.array_equal(deg, expect)
+            with pytest.raises(ValueError):
+                deg[0] = 7
 
 
 def test_cycle_cap_is_exact() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,3 +46,16 @@ def test_exact_pipeline_loads_no_scipy_submodule() -> None:
     assert doc["component_count"] == 3
     assert doc["two_core"] == [0, 1, 2]
     assert doc["cycle_count_limit"] == genuslab.cycle_count_limit(1.0)
+
+
+def test_traced_bench_names_resolve() -> None:
+    # the bench's tracer wraps these names and its environment record reads
+    # HAVE_NUMBA; renaming one away breaks traced runs, not the suite
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"genuslab.{module}"), name)), (module, name)
+    assert set(spans.MODULES) >= {module for module, _ in spans.TRACED}
+    assert isinstance(importlib.import_module("genuslab._genus_search").HAVE_NUMBA, bool)
