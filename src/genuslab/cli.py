@@ -1,12 +1,14 @@
 """Command-line harness for the genus experiments.
 
-Every command builds a JSON report with four blocks: config (the exact
-parameters used, round-trippable through JSON), metadata (timestamps, wall
-times and what ran: the search backend and the package, numpy and scipy
-versions; the only content that varies between runs), rows (one per trial or
-grid point, deterministic given config and seed), and summary.  CSV output
-emits the rows alone.  Exit codes: 0 on success, 1 when an acceptance
-suite or budgeted search fails, 2 on usage errors.
+Commands compute rows and a summary; one writer, _emit, writes the report.
+The JSON report has four blocks: config (the exact parameters used,
+round-trippable through JSON), metadata (timestamps, wall times and what
+ran: the search backend and the package, numpy and scipy versions; the only
+content that varies between runs), rows (one per trial or grid point,
+deterministic given config and seed), and summary.  CSV output emits a flat
+table alone, but a search or cycle budget failure is always a JSON report.
+Exit codes: 0 on success, 1 when an acceptance suite fails or a budget runs
+out, 2 on usage errors, including counts that are not positive.
 """
 
 from __future__ import annotations
@@ -88,46 +90,39 @@ def _write_text(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _report(config: dict, rows: list[dict], summary: dict, seconds: list[float]) -> dict:
-    return {
-        "config": config,
-        "metadata": {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "tool": "genuslab",
-            "version": __version__,
-            "search_backend": "numba" if _genus_search.HAVE_NUMBA else "python",
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "trial_seconds": [round(t, 6) for t in seconds],
-        },
-        "rows": rows,
-        "summary": summary,
-    }
-
-
-def _write_output(
-    report: dict,
-    fmt: str,
-    out: str | None,
-    csv_rows: list[dict] | None = None,
-    csv_fields: list[str] | None = None,
-) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        rows = report["rows"] if csv_rows is None else csv_rows
-        fields = csv_fields
-        if fields is None:
-            fields = list(rows[0].keys()) if rows else []
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=fields, extrasaction="ignore", lineterminator="\n"
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    _write_text(text, out)
+def _emit(ns, rows: list[dict], summary: dict, seconds=(), *,
+          table: list[dict] | None = None, fields: list[str] | None = None,
+          fmt: str | None = None) -> None:
+    """Write a command's report to ns.out: the JSON report built from ns,
+    rows, summary and the trial seconds, or under csv format the flat table
+    (default rows) under fields (default the first table row's keys).  fmt
+    overrides ns.format."""
+    if (fmt or ns.format) == "json":
+        report = {
+            "config": _config_of(ns),
+            "metadata": {
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "tool": "genuslab",
+                "version": __version__,
+                "search_backend": "numba" if _genus_search.HAVE_NUMBA else "python",
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "trial_seconds": [round(t, 6) for t in seconds],
+            },
+            "rows": rows,
+            "summary": summary,
+        }
+        _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", ns.out)
+        return
+    table = rows if table is None else table
+    if fields is None:
+        fields = list(table[0]) if table else []
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(table)
+    _write_text(buf.getvalue(), ns.out)
 
 
 def _run_trials(worker, tasks: list, jobs: int) -> tuple[list, list[float]]:
@@ -139,6 +134,10 @@ def _run_trials(worker, tasks: list, jobs: int) -> tuple[list, list[float]]:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, tasks))
     return [out for out, _ in results], [sec for _, sec in results]
+
+
+def _mean(rows: list[dict], key: str) -> float:
+    return float(np.mean([r[key] for r in rows]))
 
 
 def _load_input_graph(ns) -> Graph:
@@ -180,24 +179,26 @@ def _random_tree(n: int, max_degree: int, rng: np.random.Generator) -> Graph:
     return Graph(n, edges)
 
 
-def _grid_dims(n: int) -> tuple[int, int]:
-    rows = max(1, math.isqrt(n))
-    return rows, max(1, n // rows)
-
-
-# the trials of one run share their base graph
-@functools.lru_cache(maxsize=1)
 def _build_base(kind: str, n: int, delta: int, seed) -> Graph:
     if kind == "path":
         return path_graph(n)
     if kind == "cycle":
         return cycle_graph(n)
     if kind == "grid":
-        rows, cols = _grid_dims(n)
-        return grid_graph(rows, cols)
+        rows = max(1, math.isqrt(n))
+        return grid_graph(rows, max(1, n // rows))
     if kind == "random-tree":
         return _random_tree(n, delta, trial_rng(seed, 0))
     raise ValueError(f"unknown base graph kind {kind!r}")
+
+
+# the trials of one fragile run share their base graph
+@functools.lru_cache(maxsize=1)
+def _fragile_base(path: str | None, kind: str, n: int, delta: int, seed) -> Graph:
+    """The edge list at path, or else the built-in base graph kind on n vertices."""
+    if path is not None:
+        return load_edge_list(path)
+    return _build_base(kind, n, delta, seed)
 
 
 # workers are module level so process pools can pickle them
@@ -229,14 +230,9 @@ def _census_trial(task) -> tuple[SupercriticalReport, float]:
 
 
 def _fragile_trial(task) -> tuple[FragileReport, float]:
-    source, delta, k, ell, master, index = task
+    path, kind, n, delta, k, ell, master, index = task
     t0 = time.perf_counter()
-    kind, value = source
-    if kind == "file":
-        H = load_edge_list(value)
-    else:
-        base_name, base_n = value
-        H = _build_base(base_name, base_n, delta, master)
+    H = _fragile_base(path, kind, n, delta, master)
     rep = fragile_experiment(H, delta, k, trial_rng(master, index + 1), ell=ell)
     return rep, time.perf_counter() - t0
 
@@ -266,90 +262,69 @@ def _curve_point(task) -> tuple[dict, float]:
 
 
 def _cmd_generate(ns) -> int:
-    model = ns.model
-    seed = ns.seed
-    if model == "gnm":
+    if ns.model == "gnm":
         if ns.m is None:
             raise ValueError("gnm needs --m")
-        G = gnm(ns.n, ns.m, trial_rng(seed, 0))
-    elif model == "gnp":
+        G = gnm(ns.n, ns.m, trial_rng(ns.seed, 0))
+    elif ns.model == "gnp":
         if ns.p is None:
             raise ValueError("gnp needs --p")
-        G = gnp(ns.n, ns.p, trial_rng(seed, 0))
-    elif model == "complete":
+        G = gnp(ns.n, ns.p, trial_rng(ns.seed, 0))
+    elif ns.model == "complete":
         G = complete_graph(ns.n)
-    elif model == "hypercube":
+    elif ns.model == "hypercube":
         G = hypercube_graph(ns.n)
-    elif model in {"path", "cycle", "grid", "random-tree"}:
-        G = _build_base(model, ns.n, ns.delta, seed)
     else:
-        raise ValueError(f"unknown model {model!r}")
+        G = _build_base(ns.model, ns.n, ns.delta, ns.seed)
     _write_text(format_edge_list(G), ns.out)
     return 0
 
 
-def _report_failure(ns, payload: dict) -> int:
-    """Write a budget failure as a JSON report and return exit code 1."""
-    _write_output(_report(_config_of(ns), [payload], payload, []), "json", ns.out)
-    return 1
-
-
 def _cmd_genus(ns) -> int:
     G = _load_input_graph(ns)
-    if ns.mode == "exact":
-        try:
-            result = exact_genus(G, node_budget=ns.budget)
-        except SearchBudgetError as exc:
-            return _report_failure(ns, {
-                "error": "search budget exhausted",
-                "bounds": {"lower": exc.lower_bound, "upper": exc.upper_bound},
-                "visited": exc.nodes_explored,
-            })
-        payload = {
-            "genus": result.genus,
-            "f": result.face_count,
-            "visited": result.nodes_explored,
-        }
-        if ns.faces:
-            trace = trace_faces(G, result.rotation, validate=False)
-            payload["faces"] = [list(face) for face in trace.faces]
-    else:
+    if ns.mode == "bounds":
         bounds = {
             "lower": genus_lower_bound_short_cycles(G, ns.ell, cap=ns.cap),
             "upper": genus_upper_bound(G),
             "density_lower": genus_lower_bound_density(G),
         }
         payload = {"bounds": bounds, "ell": ns.ell, "n": G.n, "m": G.m}
-        report = _report(_config_of(ns), [payload], payload, [])
-        flat = {"n": G.n, "m": G.m, "ell": ns.ell, **bounds}
-        _write_output(report, ns.format, ns.out, csv_rows=[flat])
+        _emit(ns, [payload], payload,
+              table=[{"n": G.n, "m": G.m, "ell": ns.ell, **bounds}])
         return 0
-    report = _report(_config_of(ns), [payload], payload, [])
-    _write_output(report, ns.format, ns.out)
+    result = exact_genus(G, node_budget=ns.budget)
+    payload = {
+        "genus": result.genus,
+        "f": result.face_count,
+        "visited": result.nodes_explored,
+    }
+    if ns.faces:
+        trace = trace_faces(G, result.rotation, validate=False)
+        payload["faces"] = [list(face) for face in trace.faces]
+    _emit(ns, [payload], payload)
     return 0
+
+
+# asym flag: (row name, function); the positional lambda-i is --cycle-limit
+_ASYM_FUNCTIONS = {
+    "u": ("component_fraction", component_fraction),
+    "du": ("component_fraction_derivative", component_fraction_derivative),
+    "mu": ("genus_per_edge", genus_per_edge),
+    "cycle_limit": ("cycle_count_limit", cycle_count_limit),
+}
 
 
 def _cmd_asym(ns) -> int:
     if ns.function is not None:
         if not ns.arg:
             raise ValueError(f"asym {ns.function} needs --arg values")
-        merged = {
-            "u": "u", "du": "du", "mu": "mu", "lambda-i": "cycle_limit",
-        }[ns.function]
-        setattr(ns, merged, list(ns.arg) + (getattr(ns, merged) or []))
-    rows: list[dict] = []
-    for c in ns.u or []:
-        rows.append({"function": "component_fraction", "argument": c,
-                     "value": component_fraction(c)})
-    for c in ns.du or []:
-        rows.append({"function": "component_fraction_derivative", "argument": c,
-                     "value": component_fraction_derivative(c)})
-    for lam in ns.mu or []:
-        rows.append({"function": "genus_per_edge", "argument": lam,
-                     "value": genus_per_edge(lam)})
-    for i in ns.cycle_limit or []:
-        rows.append({"function": "cycle_count_limit", "argument": i,
-                     "value": cycle_count_limit(i)})
+        flag = "cycle_limit" if ns.function == "lambda-i" else ns.function
+        setattr(ns, flag, list(ns.arg) + (getattr(ns, flag) or []))
+    rows = [
+        {"function": name, "argument": x, "value": function(x)}
+        for flag, (name, function) in _ASYM_FUNCTIONS.items()
+        for x in getattr(ns, flag) or []
+    ]
     for i in ns.mc_cycle_limit or []:
         est = mc_cycle_count_limit(i, samples=ns.mc_samples, seed=ns.seed)
         rows.append({"function": "mc_cycle_count_limit", "argument": i,
@@ -359,9 +334,8 @@ def _cmd_asym(ns) -> int:
             "nothing to evaluate; pass --u, --du, --mu, --cycle-limit, "
             "or --mc-cycle-limit"
         )
-    report = _report(_config_of(ns), rows, {"evaluations": len(rows)}, [])
-    _write_output(report, ns.format, ns.out,
-                  csv_fields=["function", "argument", "value", "stderr"])
+    _emit(ns, rows, {"evaluations": len(rows)},
+          fields=["function", "argument", "value", "stderr"])
     return 0
 
 
@@ -377,9 +351,8 @@ def _cmd_predict(ns) -> int:
             "predicted_hi": pred.predicted_genus[1],
             "parameters": pred.parameters,
         })
-    report = _report(_config_of(ns), rows, {"points": len(rows)}, [])
-    _write_output(report, ns.format, ns.out,
-                  csv_fields=["n", "m", "regime", "predicted_lo", "predicted_hi"])
+    _emit(ns, rows, {"points": len(rows)},
+          fields=["n", "m", "regime", "predicted_lo", "predicted_hi"])
     return 0
 
 
@@ -387,8 +360,7 @@ def _cmd_contiguity(ns) -> int:
     verdict = contiguity_verdict(ns.n, ns.m, ns.genus, ns.eps)
     row = {"n": ns.n, "m": ns.m, "genus": ns.genus, "eps": ns.eps,
            "verdict": verdict.value}
-    report = _report(_config_of(ns), [row], row, [])
-    _write_output(report, ns.format, ns.out)
+    _emit(ns, [row], row)
     return 0
 
 
@@ -402,38 +374,35 @@ def _cmd_census(ns) -> int:
         {"trial_index": i, "seed": f"{ns.seed}:{i}", **asdict(rep)}
         for i, rep in enumerate(reports)
     ]
-    mean_excess = float(np.mean([r["core_excess"] for r in rows]))
     summary = {
         "s": ns.s,
-        "mean_excess": mean_excess,
+        "mean_excess": _mean(rows, "core_excess"),
         "predicted": predicted_core_excess(ns.n, ns.s),
-        "mean_genus_lower": float(np.mean([r["genus_lower"] for r in rows])),
-        "mean_genus_upper": float(np.mean([r["genus_upper"] for r in rows])),
-        "mean_census_cycle_count": float(
-            np.mean([r["census_cycle_count"] for r in rows])
-        ),
-        "predicted_genus": rows[0]["predicted"] if rows else 0.0,
+        "mean_genus_lower": _mean(rows, "genus_lower"),
+        "mean_genus_upper": _mean(rows, "genus_upper"),
+        "mean_census_cycle_count": _mean(rows, "census_cycle_count"),
+        "predicted_genus": rows[0]["predicted"],
     }
-    report = _report(_config_of(ns), rows, summary, seconds)
-    _write_output(report, ns.format, ns.out, csv_rows=[summary],
-                  csv_fields=["s", "mean_excess", "predicted"])
+    _emit(ns, rows, summary, seconds, table=[summary],
+          fields=["s", "mean_excess", "predicted"])
     return 0
 
 
+def _kappa_tasks(n: int, lams, trials: int, seed) -> list[tuple]:
+    # trial t of the li-th density draws stream li * trials + t
+    return [(n, lam, seed, li * trials + t, t)
+            for li, lam in enumerate(lams) for t in range(trials)]
+
+
 def _cmd_mc_kappa(ns) -> int:
-    tasks = []
-    for li, lam in enumerate(ns.lam):
-        for t in range(ns.trials):
-            tasks.append((ns.n, lam, ns.seed, li * ns.trials + t, t))
+    tasks = _kappa_tasks(ns.n, ns.lam, ns.trials, ns.seed)
     rows, seconds = _run_trials(_kappa_trial, tasks, ns.jobs)
-    devs = [r["abs_deviation"] for r in rows]
     summary = {
-        "mean_deviation": float(np.mean(devs)),
-        "max_deviation": float(np.max(devs)),
+        "mean_deviation": _mean(rows, "abs_deviation"),
+        "max_deviation": float(max(r["abs_deviation"] for r in rows)),
         "trials": len(rows),
     }
-    report = _report(_config_of(ns), rows, summary, seconds)
-    _write_output(report, ns.format, ns.out)
+    _emit(ns, rows, summary, seconds)
     return 0
 
 
@@ -450,44 +419,37 @@ def _cmd_curve(ns) -> int:
         "points": len(rows),
         "max_upper_ratio": float(max(r["upper_ratio"] for r in rows)),
     }
-    report = _report(_config_of(ns), rows, summary, seconds)
-    _write_output(report, ns.format, ns.out,
-                  csv_fields=["m", "lower_ratio", "upper_ratio", "predicted_ratio"])
+    _emit(ns, rows, summary, seconds,
+          fields=["m", "lower_ratio", "upper_ratio", "predicted_ratio"])
     return 0
 
 
 def _cmd_fragile(ns) -> int:
-    if ns.input is not None:
-        source = ("file", ns.input)
-    else:
-        if ns.base is None:
-            raise ValueError("provide --input FILE or --base KIND --n N")
-        if ns.n is None:
-            raise ValueError("--base needs --n")
-        source = ("base", (ns.base, ns.n))
-    tasks = [
-        (source, ns.delta, ns.k, ns.ell, ns.seed, i) for i in range(ns.trials)
-    ]
+    # the file may have been rewritten since an earlier call in this process
+    _fragile_base.cache_clear()
+    if ns.input is None and ns.base is None:
+        raise ValueError("provide --input FILE or --base KIND --n N")
+    if ns.input is None and ns.n is None:
+        raise ValueError("--base needs --n")
+    tasks = [(ns.input, ns.base, ns.n, ns.delta, ns.k, ns.ell, ns.seed, i)
+             for i in range(ns.trials)]
     reports, seconds = _run_trials(_fragile_trial, tasks, ns.jobs)
     # the seed column keeps the report's field position
     rows = [
         {"trial_index": i, **asdict(rep), "seed": f"{ns.seed}:{i + 1}"}
         for i, rep in enumerate(reports)
     ]
-    positive = sum(1 for r in rows if r["genus_lower_gamma"] > 0)
     summary = {
         "trials": len(rows),
-        "mean_t": float(np.mean([r["t"] for r in rows])),
-        "mean_good_edges": float(np.mean([r["good_edge_count"] for r in rows])),
-        "mean_gamma_edges": float(np.mean([r["gamma_edges"] for r in rows])),
-        "mean_genus_lower_gamma": float(
-            np.mean([r["genus_lower_gamma"] for r in rows])
-        ),
-        "positive_lower_fraction": positive / len(rows) if rows else 0.0,
-        "max_upper_bound": max(r["upper_bound"] for r in rows) if rows else 0,
+        "mean_t": _mean(rows, "t"),
+        "mean_good_edges": _mean(rows, "good_edge_count"),
+        "mean_gamma_edges": _mean(rows, "gamma_edges"),
+        "mean_genus_lower_gamma": _mean(rows, "genus_lower_gamma"),
+        "positive_lower_fraction":
+            sum(r["genus_lower_gamma"] > 0 for r in rows) / len(rows),
+        "max_upper_bound": max(r["upper_bound"] for r in rows),
     }
-    report = _report(_config_of(ns), rows, summary, seconds)
-    _write_output(report, ns.format, ns.out)
+    _emit(ns, rows, summary, seconds)
     return 0
 
 
@@ -496,13 +458,9 @@ def _suite_asymptotics(ns) -> list[dict]:
 
 
 def _suite_mc_kappa(ns) -> list[dict]:
-    n = ns.n or 100_000
-    trials = ns.trials or 10
-    tasks = [
-        (n, lam, ns.seed, li * trials + t, t)
-        for li, lam in enumerate(KAPPA_LAMBDAS)
-        for t in range(trials)
-    ]
+    n = 100_000 if ns.n is None else ns.n
+    trials = 10 if ns.trials is None else ns.trials
+    tasks = _kappa_tasks(n, KAPPA_LAMBDAS, trials, ns.seed)
     rows, _ = _run_trials(_kappa_trial, tasks, ns.jobs)
     deviations = {
         lam: [r["abs_deviation"] for r in rows[li * trials:(li + 1) * trials]]
@@ -512,19 +470,19 @@ def _suite_mc_kappa(ns) -> list[dict]:
 
 
 def _suite_supercritical(ns) -> list[dict]:
-    n = ns.n or 1_000_000
-    trials = ns.trials or 10
-    s = ns.s or int(round(n**0.75))
+    n = 1_000_000 if ns.n is None else ns.n
+    trials = 10 if ns.trials is None else ns.trials
+    s = int(round(n**0.75)) if ns.s is None else ns.s
     tasks = [(n, s, {}, ns.seed, i) for i in range(trials)]
     reports, _ = _run_trials(_census_trial, tasks, ns.jobs)
     return core_excess_checks(reports) + genus_upper_checks(reports)
 
 
 def _suite_fragile(ns) -> list[dict]:
-    n = ns.n or 100_000
-    trials = ns.trials or 10
-    k = ns.k or 5000
-    tasks = [(("base", ("path", n)), 2, k, 3, ns.seed, i) for i in range(trials)]
+    n = 100_000 if ns.n is None else ns.n
+    trials = 10 if ns.trials is None else ns.trials
+    k = 5000 if ns.k is None else ns.k
+    tasks = [(None, "path", n, 2, k, 3, ns.seed, i) for i in range(trials)]
     reports, _ = _run_trials(_fragile_trial, tasks, ns.jobs)
     return fragile_checks(reports, n, k, 2)
 
@@ -553,21 +511,28 @@ def _cmd_suite(ns) -> int:
         "checks_passed": sum(1 for c in checks if c["passed"]),
         "checks_total": len(checks),
     }
-    report = _report(_config_of(ns), checks, summary, [time.perf_counter() - t0])
-    _write_output(report, ns.format, ns.out,
-                  csv_fields=["name", "passed", "detail"])
+    _emit(ns, checks, summary, [time.perf_counter() - t0],
+          fields=["name", "passed", "detail"])
     return 0 if passed else 1
 
 
 def _config_of(ns) -> dict:
-    config = {}
-    for key, value in sorted(vars(ns).items()):
-        if callable(value):
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        config[key] = value
-    return config
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in sorted(vars(ns).items())
+        if not callable(value)
+    }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count arguments: trials and sample sizes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_common(p, default_format="json") -> None:
@@ -656,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="slightly supercritical core statistics")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--s", type=int, required=True)
-    q.add_argument("--trials", type=int, default=10)
+    q.add_argument("--trials", type=_positive_int, default=10)
     q.add_argument("--ell", type=int, default=None,
                    help="short cycle length (default floor(n/s))")
     q.add_argument("--a", type=float, default=None,
@@ -668,11 +633,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo experiments")
     mc_sub = p.add_subparsers(dest="mc_command", required=True)
     q = mc_sub.add_parser("kappa", help="component count concentration")
-    q.add_argument("--n", type=int, default=100_000)
+    q.add_argument("--n", type=_positive_int, default=100_000)
     q.add_argument("--lam", type=float, nargs="+",
                    default=(0.25, 0.5, 1.0, 2.0),
                    help="edge densities m = floor(lam*n)")
-    q.add_argument("--trials", type=int, default=10)
+    q.add_argument("--trials", type=_positive_int, default=10)
     _add_common(q)
     q.set_defaults(func=_cmd_mc_kappa)
 
@@ -695,7 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="maximum degree of the base graph")
     p.add_argument("--k", type=int, required=True,
                    help="number of random edges to add")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--ell", type=int, default=3,
                    help="cycle census length for the quotient lower bound")
     _add_common(p)
@@ -703,10 +668,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named acceptance suite")
     p.add_argument("name", choices=tuple(sorted(_SUITES)))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--s", type=_positive_int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_suite)
 
@@ -718,12 +683,17 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
+    except SearchBudgetError as exc:
+        payload = {"error": "search budget exhausted", "visited": exc.nodes_explored,
+                   "bounds": {"lower": exc.lower_bound, "upper": exc.upper_bound}}
     except CycleBudgetError as exc:
-        return _report_failure(ns, {"error": "cycle budget exhausted",
-                                    "cap": exc.cap, "max_length": exc.max_length})
+        payload = {"error": "cycle budget exhausted",
+                   "cap": exc.cap, "max_length": exc.max_length}
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(ns, [payload], payload, fmt="json")
+    return 1
 
 
 if __name__ == "__main__":

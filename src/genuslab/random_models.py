@@ -20,12 +20,6 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """First k distinct values of an iid uniform stream over range(N)."""
     if k > N:
@@ -66,7 +60,7 @@ def gnp(n: int, p: float, seed=None) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError("p must lie in [0, 1]")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     N = n * (n - 1) // 2
     m = int(rng.binomial(N, p)) if N else 0
     return Graph(n, uniform_pairs(n, m, rng))
@@ -104,7 +98,7 @@ def uniform_pairs(n: int, k: int, seed=None) -> np.ndarray:
     N = n * (n - 1) // 2
     if k < 0 or k > N:
         raise GraphError(f"k must be between 0 and {N}")
-    return _decode_pairs(_ordered_distinct(N, k, _rng_of(seed)))
+    return _decode_pairs(_ordered_distinct(N, k, np.random.default_rng(seed)))
 
 
 def add_uniform_edges(G: Graph, k: int, seed=None) -> tuple[Graph, np.ndarray]:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy
 
+import genuslab.cli
 from genuslab import component_fraction, cycle_count_limit, genus_per_edge
 from genuslab.cli import OUT_DIR_ENV, main
+from genuslab.graphs import format_edge_list, load_edge_list, path_graph
 
 
 def _run_json(capsys, argv: list[str]) -> tuple[int, dict]:
@@ -69,6 +71,29 @@ def test_genus_bounds_cycle_budget_exits_one(capsys) -> None:
     assert doc["summary"] == {"error": "cycle budget exhausted", "cap": 1,
                               "max_length": 4}
     assert doc["config"]["cap"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus", "exact", "--fixture", "k6", "--budget", "50"],
+    ["genus", "bounds", "--fixture", "k6", "--cap", "1"],
+])
+def test_budget_failure_is_json_under_csv(capsys, argv) -> None:
+    rc, doc = _run_json(capsys, argv + ["--format", "csv"])
+    assert rc == 1
+    assert doc["config"]["format"] == "csv"
+    assert doc["rows"] == [doc["summary"]]
+    assert doc["summary"]["error"].endswith("budget exhausted")
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["asym", "--u", "2.0"], "function,argument,value,stderr"),
+    (["genus", "bounds", "--fixture", "k6"], "n,m,ell,lower,upper,density_lower"),
+    (["predict", "--n", "1000000", "--m", "531623"],
+     "n,m,regime,predicted_lo,predicted_hi"),
+])
+def test_csv_header(capsys, argv, header) -> None:
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header
 
 
 def test_generate_then_bounds_round_trip(tmp_path, capsys) -> None:
@@ -210,6 +235,26 @@ def test_fragile_cli_rows(capsys) -> None:
     assert row["good_edge_count"] <= 100
 
 
+def test_fragile_input_is_read_once_per_call(tmp_path, monkeypatch, capsys) -> None:
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_edge_list(path)
+
+    monkeypatch.setattr(genuslab.cli, "load_edge_list", counting_load)
+    target = tmp_path / "base.edgelist"
+    argv = ["fragile", "--input", str(target), "--delta", "2", "--k", "20",
+            "--trials", "3"]
+    # the second call must see the rewritten file, not the cached graph
+    for n in (300, 400):
+        target.write_text(format_edge_list(path_graph(n)))
+        rc, doc = _run_json(capsys, argv)
+        assert rc == 0
+        assert [r["n"] for r in doc["rows"]] == [n] * 3
+    assert calls == [str(target)] * 2
+
+
 def test_fragile_base_needs_n() -> None:
     assert main(["fragile", "--base", "path", "--delta", "2", "--k", "10"]) == 2
 
@@ -256,6 +301,20 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
     assert summary["checks_passed"] == passed
     assert summary["passed"] is (passed == checks)
     assert rc == (0 if passed == checks else 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "supercritical", "--n", "-5"],
+    ["mc", "kappa", "--n", "0"],
+    ["suite", "mc-kappa", "--trials", "0"],
+    ["census", "supercritical", "--n", "3000", "--s", "500", "--trials", "0"],
+    ["fragile", "--base", "path", "--n", "100", "--delta", "2", "--k", "10",
+     "--trials", "0"],
+])
+def test_counts_that_are_not_positive_are_usage_errors(argv) -> None:
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 def test_unknown_suite_is_a_usage_error() -> None:
