@@ -69,11 +69,9 @@ from .census import (
     supercritical_report,
 )
 from .regimes import (
-    DEFAULT_THRESHOLDS,
     REGIME_NAMES,
     ContiguityVerdict,
     RegimePrediction,
-    RegimeThresholds,
     contiguity_verdict,
     predict_genus,
 )

@@ -22,13 +22,13 @@ import numpy as np
 
 from .embeddings import genus_lower_bound_from_cycle_count, genus_upper_bound
 from .graphs import (
+    CYCLE_CAP,
     Graph,
     GraphError,
     _core_degrees,
     enumerate_cycles,
     giant_label,
     induced_subgraph,
-    two_core,
 )
 from .random_models import gnm
 
@@ -115,7 +115,7 @@ def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
 
 
 def count_census_cycles(
-    G: Graph, s: int, i: float, cap: int = 10_000_000
+    G: Graph, s: int, i: float, cap: int = CYCLE_CAP
 ) -> tuple[int, float]:
     """Count cycles passing the four census thresholds; returns (count, x).
 
@@ -178,7 +178,7 @@ def _connecting_path(
 
 
 def find_small_excess_subgraph(
-    G: Graph, max_vertices: int, cap: int = 10_000_000
+    G: Graph, max_vertices: int, cap: int = CYCLE_CAP
 ) -> tuple[int, ...] | None:
     """Search for a connected subgraph on at most max_vertices vertices with
     more edges than vertices; return its vertex set, or None.
@@ -219,7 +219,7 @@ def find_small_excess_subgraph(
 
 
 def neighborhood_bounds_hold(
-    G: Graph, a: float, s: int, cap: int = 10_000_000
+    G: Graph, a: float, s: int, cap: int = CYCLE_CAP
 ) -> bool:
     """Check that every cycle of length below a*n/s has a leaf neighbourhood
     smaller than a^2*n^2/s^2 and fewer than a^2*n/s neighbours.
@@ -289,7 +289,7 @@ def supercritical_report(
     seed=None,
     ell: int | None = None,
     a: float | None = None,
-    cap: int = 10_000_000,
+    cap: int = CYCLE_CAP,
 ) -> SupercriticalReport:
     """Generate one uniform graph with n/2 + s edges and report the core
     statistics the supercritical analysis is built on.
@@ -320,9 +320,8 @@ def supercritical_report(
     # one peel: the giant's 2-core is the part of G's 2-core in the giant
     labels = G.component_labels()
     giant = giant_label(G)
-    all_cores = two_core(G)
     core = induced_subgraph(
-        all_cores.graph, np.flatnonzero(labels[all_cores.old_labels] == giant)
+        G, np.flatnonzero((_core_degrees(G) > 0) & (labels == giant))
     ).graph
     short_cycles = len(enumerate_cycles(core, ell, cap=cap))
     z_count, x = count_census_cycles(G, s, a, cap=cap)

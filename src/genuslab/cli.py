@@ -60,6 +60,7 @@ from .embeddings import (
 )
 from .fragile import FragileReport, fragile_experiment
 from .graphs import (
+    CYCLE_CAP,
     CycleBudgetError,
     Graph,
     complete_graph,
@@ -299,7 +300,7 @@ def _cmd_genus(ns) -> int:
         "visited": result.nodes_explored,
     }
     if ns.faces:
-        trace = trace_faces(G, result.rotation, validate=False)
+        trace = trace_faces(G, result.rotation)
         payload["faces"] = [list(face) for face in trace.faces]
     _emit(ns, [payload], payload)
     return 0
@@ -412,7 +413,8 @@ def _cmd_curve(ns) -> int:
     else:
         fractions = [0.25, 0.4, 0.45, 0.49, 0.5, 0.51, 0.55, 0.6, 0.75,
                      1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0]
-        grid = sorted({max(1, int(round(f * ns.n))) for f in fractions})
+        pairs = ns.n * (ns.n - 1) // 2
+        grid = sorted({min(pairs, max(1, int(round(f * ns.n)))) for f in fractions})
     tasks = [(ns.n, m, ns.ell, ns.seed, i) for i, m in enumerate(grid)]
     rows, seconds = _run_trials(_curve_point, tasks, ns.jobs)
     summary = {
@@ -573,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rotation search node budget (exact mode)")
     p.add_argument("--ell", type=int, default=4,
                    help="cycle census length for the lower bound (bounds mode)")
-    p.add_argument("--cap", type=int, default=10_000_000,
+    p.add_argument("--cap", type=int, default=CYCLE_CAP,
                    help="most cycles the census may enumerate (bounds mode)")
     p.add_argument("--faces", action="store_true",
                    help="include the face walks of a minimum-genus rotation")
@@ -626,7 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="short cycle length (default floor(n/s))")
     q.add_argument("--a", type=float, default=None,
                    help="census parameter (default 0.5*ln(s^3/n^2))")
-    q.add_argument("--cap", type=int, default=10_000_000)
+    q.add_argument("--cap", type=int, default=CYCLE_CAP)
     _add_common(q)
     q.set_defaults(func=_cmd_census)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, enumerate_cycles
+from .graphs import CYCLE_CAP, Graph, GraphError, enumerate_cycles
 
 from . import _genus_search
 
@@ -54,7 +54,6 @@ class FaceTrace:
     """Faces of one embedding, as closed dart walks."""
 
     faces: list[list[tuple[int, int]]]
-    face_lengths: list[int]
     face_count: int  # merged count, see module docstring
     component_count: int
     genus: int
@@ -78,17 +77,16 @@ def validate_rotation(graph: Graph, rotation: Rotation) -> None:
             raise GraphError(f"rotation at vertex {v} is not an ordering of its neighbours")
 
 
-def trace_faces(graph: Graph, rotation: Rotation, validate: bool = True) -> FaceTrace:
+def trace_faces(graph: Graph, rotation: Rotation) -> FaceTrace:
     """Trace all face walks of the embedding given by rotation.
 
     The dart following (u, v) is (v, w) where w follows u in the rotation at
     v.  Every dart lies on exactly one face walk; isolated vertices add one
     empty walk each.
     """
-    if validate:
-        validate_rotation(graph, rotation)
+    validate_rotation(graph, rotation)
     if graph.n == 0:
-        return FaceTrace([], [], 0, 0, 0)
+        return FaceTrace([], 0, 0, 0)
     position = [
         {w: i for i, w in enumerate(rotation[v])} for v in range(graph.n)
     ]
@@ -117,16 +115,15 @@ def trace_faces(graph: Graph, rotation: Rotation, validate: bool = True) -> Face
         raise AssertionError("face trace violated the Euler formula")
     return FaceTrace(
         faces=faces,
-        face_lengths=[len(w) for w in faces],
         face_count=face_count,
         component_count=kappa,
         genus=twice_genus // 2,
     )
 
 
-def genus_of_rotation(graph: Graph, rotation: Rotation, validate: bool = True) -> int:
+def genus_of_rotation(graph: Graph, rotation: Rotation) -> int:
     """Genus of the embedding given by rotation (sum over components)."""
-    return trace_faces(graph, rotation, validate=validate).genus
+    return trace_faces(graph, rotation).genus
 
 
 def genus_upper_bound(graph: Graph) -> int:
@@ -141,7 +138,7 @@ def genus_upper_bound(graph: Graph) -> int:
 
 
 def genus_lower_bound_short_cycles(
-    graph: Graph, max_cycle_length: int = 4, cap: int = 10_000_000
+    graph: Graph, max_cycle_length: int = 4, cap: int = CYCLE_CAP
 ) -> int:
     """Euler-formula lower bound from a short-cycle census.
 

@@ -44,6 +44,10 @@ class CycleBudgetError(RuntimeError):
         return type(self), (self.cap, self.max_length)
 
 
+# Default cap of enumerate_cycles and of every cycle census built on it.
+CYCLE_CAP = 10_000_000
+
+
 def _as_edge_array(edges) -> np.ndarray:
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                      dtype=np.int64)
@@ -442,7 +446,7 @@ def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
 
 
-def enumerate_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:
+def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tuple[int, ...]]:
     """All simple cycles of length at most max_length, as canonical tuples.
 
     A cycle (v0, ..., v_{k-1}) is canonical when v0 is its smallest vertex

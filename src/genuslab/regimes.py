@@ -6,9 +6,9 @@ behaviour: genus zero below the critical window, a cubic-in-s law just past
 it, a genus-per-edge law mu(lambda) at linear densities, roughly m/2 for
 barely superlinear m, then a descent through j/(2(j+2)) plateaus down to
 m/6 at quadratic densities.  The conditions separating those ranges are
-asymptotic, so any finite-n classifier must pick explicit cutoffs; all the
-choices live in RegimeThresholds, and the classifier is a total partition:
-every valid (n, m) lands in exactly one regime.
+asymptotic, so any finite-n classifier must pick explicit cutoffs; they are
+the module constants below, and the classifier is a total partition: every
+valid (n, m) lands in exactly one regime.
 
 A uniform graph model constrained to genus at most g is contiguous with the
 unconstrained model (shares all its with-high-probability properties) once
@@ -37,40 +37,26 @@ REGIME_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Finite-size cutoffs rendering the asymptotic regime conditions.
-
-    window_exponent: the critical window is |m - n/2| <= n**window_exponent.
-    supercritical_fraction: the slightly supercritical range ends at
-        s = supercritical_fraction * n.
-    linear_log_factor: the linear range ends at
-        m = linear_log_factor * n * ln(n).
-    near_linear_exponent: the near-linear range ends at
-        m = n**near_linear_exponent.  It starts where the linear range
-        ends, so with DEFAULT_THRESHOLDS it is n ln n < m <= n**1.05,
-        which is empty unless ln n < n**0.05; for n >= 3 that needs
-        ln n > 90 (n > 10**39), so the branch is asymptotic only.
-    near_linear_slack: the near-linear prediction interval is
-        [(1 - near_linear_slack) * m/2, m/2], rendering its "1 - o(1)" lower
-        constant.
-    dense_fraction: dense means m >= dense_fraction * n*(n-1)/2.
-    boundary_band: with j = round(1/(log_n(m) - 1)) and j >= 2, a power-law
-        boundary is declared when m / n**(1 + 1/j) lies within
-        [1/boundary_band, boundary_band]; otherwise the point falls in the
-        gap regime with j = floor(1/(log_n(m) - 1)).
-    """
-
-    window_exponent: float = 2.0 / 3.0
-    supercritical_fraction: float = 0.1
-    linear_log_factor: float = 1.0
-    near_linear_exponent: float = 1.05
-    near_linear_slack: float = 0.1
-    dense_fraction: float = 0.25
-    boundary_band: float = 2.0
-
-
-DEFAULT_THRESHOLDS = RegimeThresholds()
+# Finite-size cutoffs rendering the asymptotic regime conditions.
+# The critical window is |m - n/2| <= n**WINDOW_EXPONENT.
+WINDOW_EXPONENT = 2.0 / 3.0
+# The slightly supercritical range ends at s = SUPERCRITICAL_FRACTION * n;
+# the linear range then runs up to m = n ln n.
+SUPERCRITICAL_FRACTION = 0.1
+# The near-linear range ends at m = n**NEAR_LINEAR_EXPONENT.  It starts where
+# the linear range ends, so it is n ln n < m <= n**1.05, which is empty unless
+# ln n < n**0.05; for n >= 3 that needs ln n > 90 (n > 10**39), so the branch
+# is asymptotic only.
+NEAR_LINEAR_EXPONENT = 1.05
+# The near-linear prediction interval is [(1 - NEAR_LINEAR_SLACK) * m/2, m/2],
+# rendering its "1 - o(1)" lower constant.
+NEAR_LINEAR_SLACK = 0.1
+# Dense means m >= DENSE_FRACTION * n*(n-1)/2.
+DENSE_FRACTION = 0.25
+# With j = round(1/(log_n(m) - 1)) and j >= 2, a power-law boundary is
+# declared when m / n**(1 + 1/j) lies within [1/BOUNDARY_BAND, BOUNDARY_BAND];
+# otherwise the point falls in the gap regime with j = floor(1/(log_n(m) - 1)).
+BOUNDARY_BAND = 2.0
 
 
 @dataclass(frozen=True)
@@ -94,9 +80,7 @@ class ContiguityVerdict(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-def predict_genus(
-    n: int, m: int, thresholds: RegimeThresholds | None = None
-) -> RegimePrediction:
+def predict_genus(n: int, m: int) -> RegimePrediction:
     """Classify (n, m) into its regime and predict the genus of a uniform
     graph with n vertices and m edges.
 
@@ -104,7 +88,6 @@ def predict_genus(
     (0 <= m <= n*(n-1)/2): the branches below are mutually exclusive and
     exhaustive by construction.
     """
-    th = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs = n * (n - 1) // 2
@@ -112,7 +95,7 @@ def predict_genus(
         raise ValueError(f"m must be between 0 and {pairs}")
 
     s = m - n / 2.0
-    window = n**th.window_exponent
+    window = n**WINDOW_EXPONENT
     if s < -window:
         return RegimePrediction(
             regime="planar_subcritical",
@@ -127,14 +110,14 @@ def predict_genus(
             predicted_genus=(0.0, 8.0 / 3.0),
             parameters={"s": s, "c": s / window},
         )
-    if s <= th.supercritical_fraction * n:
+    if s <= SUPERCRITICAL_FRACTION * n:
         value = 8.0 * s**3 / (3.0 * n**2)
         return RegimePrediction(
             regime="slightly_supercritical",
             predicted_genus=(value, value),
             parameters={"s": s},
         )
-    if m <= th.linear_log_factor * n * math.log(n):
+    if m <= n * math.log(n):
         lam = m / n
         value = genus_per_edge(lam) * m
         return RegimePrediction(
@@ -143,13 +126,13 @@ def predict_genus(
             parameters={"lambda": lam},
         )
     alpha = math.log(m) / math.log(n)
-    if m <= n**th.near_linear_exponent:
+    if m <= n**NEAR_LINEAR_EXPONENT:
         return RegimePrediction(
             regime="near_linear",
-            predicted_genus=((1.0 - th.near_linear_slack) * m / 2.0, m / 2.0),
+            predicted_genus=((1.0 - NEAR_LINEAR_SLACK) * m / 2.0, m / 2.0),
             parameters={"alpha": alpha},
         )
-    if m >= th.dense_fraction * pairs:
+    if m >= DENSE_FRACTION * pairs:
         return RegimePrediction(
             regime="dense",
             predicted_genus=(m / 6.0, m / 6.0),
@@ -158,7 +141,7 @@ def predict_genus(
     j_near = round(1.0 / (alpha - 1.0))
     if j_near >= 2:
         ratio = m / n ** (1.0 + 1.0 / j_near)
-        if 1.0 / th.boundary_band <= ratio <= th.boundary_band:
+        if 1.0 / BOUNDARY_BAND <= ratio <= BOUNDARY_BAND:
             j = float(j_near)
             return RegimePrediction(
                 regime="power_law_boundary",
@@ -177,13 +160,7 @@ def predict_genus(
     )
 
 
-def contiguity_verdict(
-    n: int,
-    m: int | None,
-    g: float,
-    eps: float,
-    thresholds: RegimeThresholds | None = None,
-) -> ContiguityVerdict:
+def contiguity_verdict(n: int, m: int | None, g: float, eps: float) -> ContiguityVerdict:
     """Decide whether the genus-at-most-g uniform model is contiguous with
     the unconstrained one.
 
@@ -209,7 +186,7 @@ def contiguity_verdict(
         if g <= (1.0 - eps) * center:
             return ContiguityVerdict.NOT_CONTIGUOUS
         return ContiguityVerdict.UNDETERMINED
-    pred = predict_genus(n, m, thresholds)
+    pred = predict_genus(n, m)
     if pred.regime in ("planar_subcritical", "critical_window"):
         return ContiguityVerdict.UNDETERMINED
     lo, hi = pred.predicted_genus

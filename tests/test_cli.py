@@ -223,6 +223,15 @@ def test_curve_header_is_stable(tmp_path) -> None:
     assert len(lines) == 4
 
 
+def test_curve_default_grid_fits_small_graphs(capsys) -> None:
+    # the built-in grid reaches 30 n edges, past the 66 pairs of 12 vertices
+    rc, doc = _run_json(capsys, ["curve", "--n", "12", "--format", "json"])
+    assert rc == 0
+    ms = [row["m"] for row in doc["rows"]]
+    assert max(ms) == 66
+    assert all(m <= 66 for m in ms)
+
+
 def test_fragile_cli_rows(capsys) -> None:
     rc, doc = _run_json(capsys, ["fragile", "--base", "path", "--n", "2000",
                                  "--delta", "2", "--k", "100",

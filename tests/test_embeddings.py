@@ -30,15 +30,21 @@ def test_rotation_validation() -> None:
         validate_rotation(g, {0: (1, 2), 1: (0, 2), 2: (0, 0)})
     with pytest.raises(GraphError):
         validate_rotation(g, {0: (1, 2), 1: (0, 2), 2: (0, 1, 0)})
+    # face tracing validates the rotation it is given
+    with pytest.raises(GraphError):
+        trace_faces(g, {0: (1, 2), 1: (0, 2), 2: (0, 0)})
+    with pytest.raises(GraphError):
+        genus_of_rotation(g, {0: (1, 2), 1: (0, 2)})
 
 
 def test_face_trace_on_square_with_tail() -> None:
     g, rot = pendant_square()
     ft = trace_faces(g, rot)
-    assert sorted(ft.face_lengths) == [4, 6]
+    lengths = [len(w) for w in ft.faces]
+    assert sorted(lengths) == [4, 6]
     assert ft.face_count == 2
     assert ft.genus == 0
-    assert sum(ft.face_lengths) == 2 * g.m
+    assert sum(lengths) == 2 * g.m
 
 
 def test_rotations_of_k4_span_both_genera() -> None:

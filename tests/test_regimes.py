@@ -6,9 +6,7 @@ import pytest
 
 from genuslab import (
     ContiguityVerdict,
-    DEFAULT_THRESHOLDS,
     REGIME_NAMES,
-    RegimeThresholds,
     contiguity_verdict,
     genus_per_edge,
     predict_genus,
@@ -18,12 +16,6 @@ from genuslab import (
 def test_regime_names_are_distinct() -> None:
     assert len(REGIME_NAMES) == 8
     assert len(set(REGIME_NAMES)) == 8
-
-
-def test_default_thresholds_are_frozen() -> None:
-    assert DEFAULT_THRESHOLDS == RegimeThresholds()
-    with pytest.raises(AttributeError):
-        DEFAULT_THRESHOLDS.dense_fraction = 0.5
 
 
 def test_prediction_examples() -> None:
@@ -51,13 +43,16 @@ def test_prediction_examples() -> None:
     assert predict_genus(10**5, 1_400_000).regime == "power_law_boundary"
 
 
-def test_near_linear_regime_via_custom_thresholds() -> None:
-    th = RegimeThresholds(near_linear_exponent=1.3)
-    p = predict_genus(1000, 7500, thresholds=th)
+# m lies between n ln n ~ 9.2e41 and n**1.05 = 1e42, so it is near-linear
+NEAR_LINEAR_N, NEAR_LINEAR_M = 10**40, 10**42 - 10**40
+
+
+def test_near_linear_regime_at_ten_to_the_forty() -> None:
+    p = predict_genus(NEAR_LINEAR_N, NEAR_LINEAR_M)
     assert p.regime == "near_linear"
     lo, hi = p.predicted_genus
-    assert hi == pytest.approx(7500 / 2)
-    assert lo == pytest.approx(0.9 * 7500 / 2)
+    assert hi == pytest.approx(NEAR_LINEAR_M / 2)
+    assert lo == pytest.approx(0.9 * NEAR_LINEAR_M / 2)
 
 
 def test_near_linear_is_unreachable_under_default_thresholds() -> None:
@@ -66,6 +61,41 @@ def test_near_linear_is_unreachable_under_default_thresholds() -> None:
     n = 10**6
     assert predict_genus(n, math.floor(n * math.log(n)) + 1).regime == "power_law_boundary"
     assert predict_genus(n, math.ceil(n**1.05)).regime == "linear"
+
+
+# (n, m, regime) on either side of each cutoff, so a changed cutoff moves
+# at least one point into a neighbouring regime
+CUTOFF_POINTS = [
+    # s = -n**(2/3) and s = +n**(2/3) = 10**4
+    (10**6, 500_000 - 10_001, "planar_subcritical"),
+    (10**6, 500_000 - 9_999, "critical_window"),
+    (10**6, 500_000 + 9_999, "critical_window"),
+    (10**6, 500_000 + 10_001, "slightly_supercritical"),
+    # s = 0.1 n
+    (10**6, 600_000, "slightly_supercritical"),
+    (10**6, 600_001, "linear"),
+    # m = n ln n: 13,815,510.6 at n = 10**6 and 9.2103404e41 at n = 10**40
+    (10**6, 13_815_510, "linear"),
+    (10**6, 13_815_511, "power_law_boundary"),
+    (10**40, 921_034 * 10**36, "linear"),
+    (10**40, 921_035 * 10**36, "near_linear"),
+    # m = n**1.05 = 10**42
+    (10**40, 10**42 - 10**40, "near_linear"),
+    (10**40, 10**42 + 10**40, "power_law_boundary"),
+    # m = 0.25 * n(n-1)/2 = 124,875 at n = 1000
+    (1000, 124_874, "power_law_gap"),
+    (1000, 124_875, "dense"),
+    # m / n**1.5 at 1/2 and 2 (j = 2)
+    (10**6, 490_000_000, "power_law_gap"),
+    (10**6, 510_000_000, "power_law_boundary"),
+    (10**6, 1_990_000_000, "power_law_boundary"),
+    (10**6, 2_010_000_000, "power_law_gap"),
+]
+
+
+@pytest.mark.parametrize("n, m, regime", CUTOFF_POINTS)
+def test_regime_on_either_side_of_each_cutoff(n: int, m: int, regime: str) -> None:
+    assert predict_genus(n, m).regime == regime
 
 
 def test_prediction_validates_inputs() -> None:
@@ -101,11 +131,10 @@ def test_contiguity_in_the_linear_regime() -> None:
 
 
 def test_contiguity_near_linear_upper_threshold_is_sharp() -> None:
-    th = RegimeThresholds(near_linear_exponent=1.3)
-    n, m = 1000, 7500
-    assert contiguity_verdict(n, m, 3750, 0.1, thresholds=th) is ContiguityVerdict.CONTIGUOUS
-    assert contiguity_verdict(n, m, 3740, 0.1, thresholds=th) is ContiguityVerdict.UNDETERMINED
-    assert contiguity_verdict(n, m, 3000, 0.1, thresholds=th) is ContiguityVerdict.NOT_CONTIGUOUS
+    n, m = NEAR_LINEAR_N, NEAR_LINEAR_M
+    assert contiguity_verdict(n, m, m // 2, 0.1) is ContiguityVerdict.CONTIGUOUS
+    assert contiguity_verdict(n, m, m // 2 - m // 400, 0.1) is ContiguityVerdict.UNDETERMINED
+    assert contiguity_verdict(n, m, 4 * m // 10, 0.1) is ContiguityVerdict.NOT_CONTIGUOUS
 
 
 def test_contiguity_of_the_all_graphs_model() -> None:
