@@ -11,12 +11,19 @@ face walks are kept as chains of darts: linking a dart to its successor
 either joins two chains or closes one into a face, in constant time, and is
 undone the same way on backtrack.  Each depth reads its vertex's rotations,
 with their links in both orders, from a table filled as the search first
-reaches them, so a node neither builds nor reverses a rotation.  Every face walk of a 2-connected block
-contains a cycle, so the faces still to close number at most
-min(open chains, open darts // girth); a branch is pruned when the closed
-faces plus that bound fall short of the target.  The target is the
-face count of genus g for g = lower, lower + 1, ... (iterative deepening),
-so the first complete rotation found has the minimum genus.
+reaches them, so a node neither builds nor reverses a rotation.
+
+Every face still to close is a union of open chains, and every face walk of
+a 2-connected block contains a cycle, so has at least girth darts.  Each
+face that contains a long chain (one of at least girth darts) can be charged
+to one of its long chains, and every other face takes at least girth darts
+from the shorter chains, so the faces still to close number at most
+long + short_darts // girth.  That is weight // girth, where weight sums the
+open chains' lengths each capped at girth, and weight changes in constant
+time with each link and its undo.  A branch is pruned when the closed faces
+plus that bound fall short of the target.  The target is the face count of
+genus g for g = lower, lower + 1, ... (iterative deepening), so the first
+complete rotation found has the minimum genus.
 """
 
 from __future__ import annotations
@@ -83,15 +90,15 @@ def search_block(
     lower == upper is the minimum genus.  When the node budget runs out,
     lower is the lowest genus not yet refuted, and the search spends at most
     one node per vertex more on completing its current branch to get upper.
+
+    A node is pruned unless closed + long + short_darts // girth reaches the
+    target (see the module docstring), computed as closed + weight // girth
+    with weight = girth * long + short_darts kept as one counter.
     """
     nv = len(out_darts)
     nd = sum(len(o) for o in out_darts)
     order = _vertex_order(out_darts)
-    open_chains = []  # after fixing order[: k + 1]
-    left = nd
-    for v in order:
-        left -= len(out_darts[v])
-        open_chains.append(left)
+    cap = [min(x, girth) for x in range(nd + 1)]
 
     # drop mirror images at the first vertex that has a choice
     first_choice = sum(len(o) == 2 for o in out_darts)
@@ -110,7 +117,7 @@ def search_block(
         other = list(range(nd))
         length = [1] * nd
         closed = 0
-        open_darts = nd
+        weight = nd  # every dart is an open chain of length 1 < girth
         # mark[d] is -1 if linking d closed a face, else the chain start
         # whose chain d's link extended; each dart is linked once per branch
         mark = [0] * nd
@@ -123,12 +130,15 @@ def search_block(
                     s = mark[d]
                     if s < 0:
                         closed -= 1
-                        open_darts += length[e]
+                        weight += cap[length[e]]
                     else:
                         t = other[s]
                         other[s] = d
                         other[t] = e
-                        length[s] -= length[e]
+                        b = length[e]
+                        c = length[s]
+                        length[s] = a = c - b
+                        weight += cap[a] + cap[b] - cap[c]
                 chosen[k] = None
             i = pos[k]
             table = tables[k]
@@ -148,18 +158,20 @@ def search_block(
                 s = other[d]
                 if s == e:
                     closed += 1
-                    open_darts -= length[e]
+                    weight -= cap[length[e]]
                     mark[d] = -1
                 else:
                     t = other[e]
                     other[s] = t
                     other[t] = s
-                    length[s] += length[e]
+                    a = length[s]
+                    b = length[e]
+                    length[s] = c = a + b
+                    weight += cap[c] - cap[a] - cap[b]
                     mark[d] = s
             chosen[k] = cur
             nodes += 1
-            free = open_darts // girth
-            if closed + (free if free < open_chains[k] else open_chains[k]) >= target:
+            if closed + weight // girth >= target:
                 if k == nv - 1:
                     rotation = [[] for _ in range(nv)]
                     for v, cur in zip(order, chosen):

@@ -6,7 +6,8 @@ component walks, with no sharing of logic with the package under test.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import math
+from itertools import combinations, permutations, product
 
 from genuslab import CycleBudgetError, Graph
 from genuslab.fragile import DecompositionError, PieceDecomposition, _check_base
@@ -29,6 +30,64 @@ def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:
                 if all(G.has_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k)):
                     found.add(cyc)
     return found
+
+
+def rotation_space(G: Graph) -> int:
+    """Number of rotation systems of G: (deg(v) - 1)! per vertex."""
+    return math.prod(math.factorial(max(int(d) - 1, 0)) for d in G.degrees())
+
+
+def brute_genus(G: Graph) -> int:
+    """Minimum orientable genus by tracing the faces of every rotation system.
+
+    Each vertex takes every cyclic order of its neighbours; the face
+    successor of the dart (u, v) is (v, w), with w the neighbour after u
+    in v's order.  With f faces, an isolated vertex counting as one, and
+    kappa components, Euler's formula gives the genus
+    (2 kappa - n + m - f) / 2.  Runs through rotation_space(G) systems.
+    """
+    n = G.n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, w in G.edge_list():
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    kappa = 0
+    seen = [False] * n
+    for r in range(n):
+        if not seen[r]:
+            kappa += 1
+            seen[r] = True
+            stack = [r]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+    isolated = sum(1 for a in nbrs if not a)
+    # per vertex, every cyclic order as a map neighbour -> next neighbour
+    orders = []
+    for a in nbrs:
+        maps = []
+        for rest in permutations(a[1:]):
+            seq = (a[0],) + rest if a else ()
+            maps.append({seq[i]: seq[(i + 1) % len(seq)] for i in range(len(seq))})
+        orders.append(maps)
+    darts = [(u, w) for u in range(n) for w in nbrs[u]]
+
+    def faces(system) -> int:
+        traced = set()
+        count = 0
+        for start in darts:
+            if start not in traced:
+                count += 1
+                u, v = start
+                while (u, v) not in traced:
+                    traced.add((u, v))
+                    u, v = v, system[v][u]
+        return count
+
+    f = isolated + max(faces(system) for system in product(*orders))
+    return (2 * kappa - n + G.m - f) // 2
 
 
 def nx_density_bound(G: Graph) -> int:
@@ -245,6 +304,7 @@ def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
     piece, which is the same as repeatedly pruning a leaf of the piece's
     spanning tree until s vertices remain.
     """
+    s = d.s  # a min over all pieces: read it once
     cores: list[tuple[int, ...]] = []
     for piece in d.pieces:
         members = set(piece)
@@ -252,22 +312,24 @@ def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
         taken = [root]
         seen = {root}
         qi = 0
-        while qi < len(taken) and len(taken) < d.s:
+        while qi < len(taken) and len(taken) < s:
             u = taken[qi]
             qi += 1
             for x in H.neighbors(u).tolist():
                 if x in members and x not in seen:
                     seen.add(x)
                     taken.append(x)
-                    if len(taken) == d.s:
+                    if len(taken) == s:
                         break
-        cores.append(tuple(sorted(taken[: d.s])))
+        cores.append(tuple(sorted(taken[:s])))
     return PieceDecomposition(l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores))
 
 
 # Reference for genuslab._genus_search.search_block: the same search, but it
 # regenerates a vertex's rotations on every visit instead of walking a
-# per-depth table, so both must visit the same nodes in the same order.
+# per-depth table, and recounts faces and open chains at every node instead
+# of keeping them as it links darts, so both must visit the same nodes in the
+# same order.
 
 
 def _vertex_order(out_darts: list[list[int]]) -> list[int]:
@@ -308,6 +370,44 @@ def _rotations(outs: list[int], mirror_free: bool):
         yield [(seq[i - 1] ^ 1, seq[i]) for i in range(len(seq))]
 
 
+def _chain_census(succ: list[int], girth: int) -> tuple[int, int, int]:
+    """(closed faces, long chains, short darts) of the partial face walks,
+    found by walking every chain of the successor map from scratch.
+
+    succ[d] is the face successor linked to dart d, or -1.  An open chain
+    starts at a dart that is no dart's successor and ends at an unlinked
+    dart; it is long when it has at least girth darts.  The darts left over
+    lie on closed faces.
+    """
+    nd = len(succ)
+    has_pred = [False] * nd
+    for e in succ:
+        if e >= 0:
+            has_pred[e] = True
+    seen = [False] * nd
+    long_chains = short_darts = 0
+    for x in range(nd):
+        if has_pred[x]:
+            continue
+        size = 0
+        while x >= 0:
+            seen[x] = True
+            size += 1
+            x = succ[x]
+        if size >= girth:
+            long_chains += 1
+        else:
+            short_darts += size
+    closed = 0
+    for x in range(nd):
+        if not seen[x]:
+            closed += 1
+            while not seen[x]:
+                seen[x] = True
+                x = succ[x]
+    return closed, long_chains, short_darts
+
+
 def search_block_reference(
     out_darts: list[list[int]], girth: int, genus: int, budget: int
 ) -> tuple[int, int, list[list[int]], int]:
@@ -319,65 +419,41 @@ def search_block_reference(
     lower == upper is the minimum genus.  When the node budget runs out,
     lower is the lowest genus not yet refuted, and the search spends at most
     one node per vertex more on completing its current branch to get upper.
+
+    Each node recounts its closed faces and open chains with _chain_census
+    and is pruned unless closed + long + short_darts // girth reaches the
+    target: every face still to close is a union of open chains and has at
+    least girth darts.
     """
     nv = len(out_darts)
     nd = sum(len(o) for o in out_darts)
     order = _vertex_order(out_darts)
-    open_chains = []  # after fixing order[: k + 1]
-    left = nd
-    for v in order:
-        left -= len(out_darts[v])
-        open_chains.append(left)
 
     # drop mirror images at the first vertex that has a choice
     first_choice = sum(len(o) == 2 for o in out_darts)
     nodes = 0
     while True:
         target = nd // 2 - nv + 2 - 2 * genus
-        # chain endpoints: other[x] is the far end of the chain ending or
-        # starting at x; length is kept at chain starts
-        other = list(range(nd))
-        length = [1] * nd
-        closed = 0
-        open_darts = nd
+        succ = [-1] * nd
         choices = [None] * nv
         links = [None] * nv
-        saved = [None] * nv
         k = 0
         choices[0] = _rotations(out_darts[order[0]], first_choice == 0)
         while k >= 0:
             if links[k] is not None:  # undo the previous order at depth k
-                for (d, e), s in zip(reversed(links[k]), reversed(saved[k])):
-                    if s < 0:
-                        closed -= 1
-                        open_darts += length[e]
-                    else:
-                        t = other[s]
-                        other[s] = d
-                        other[t] = e
-                        length[s] -= length[e]
+                for d, _ in links[k]:
+                    succ[d] = -1
                 links[k] = None
             cur = next(choices[k], None)
             if cur is None:
                 k -= 1
                 continue
-            marks = []
             for d, e in cur:
-                s = other[d]
-                if s == e:
-                    closed += 1
-                    open_darts -= length[e]
-                    marks.append(-1)
-                else:
-                    t = other[e]
-                    other[s] = t
-                    other[t] = s
-                    length[s] += length[e]
-                    marks.append(s)
+                succ[d] = e
             links[k] = cur
-            saved[k] = marks
             nodes += 1
-            if closed + min(open_chains[k], open_darts // girth) >= target:
+            closed, long_chains, short_darts = _chain_census(succ, girth)
+            if closed + long_chains + short_darts // girth >= target:
                 if k == nv - 1:
                     rotation = [[] for _ in range(nv)]
                     for v, cur in zip(order, links):
