@@ -3,8 +3,11 @@ package builds on: components, 2-cores, induced subgraphs, quotients, and
 bounded-length cycle enumeration.
 
 Vertices are the integers 0..n-1.  Self-loops and parallel edges are
-rejected.  Storage is a numpy edge array plus a CSR adjacency, so the
-structural operations stay cheap at n around 10^6.
+rejected.  Storage is a canonical int64 edge array (pairs u < v sorted by
+colex code) plus a CSR adjacency with int32 indices while they fit, so the
+structural operations stay cheap at n around 10^6.  Graph(n, edges)
+validates and sorts its input; code that holds canonical edges already
+builds through Graph._from_canonical.
 
 Only component labels (Graph._components, behind component_count,
 component_labels and giant_component) and breadth-first search (_bfs,
@@ -89,21 +92,35 @@ def _encode_pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _decode_pairs(codes: np.ndarray) -> np.ndarray:
     """Colex code -> (k, 2) array of pairs (u, v) with u < v; exact for
     codes below 2**52."""
-    c = codes.astype(np.float64)
-    v = ((1.0 + np.sqrt(8.0 * c + 1.0)) * 0.5).astype(np.int64)
-    v = np.where(v * (v - 1) // 2 > codes, v - 1, v)
-    v = np.where((v + 1) * v // 2 <= codes, v + 1, v)
-    u = codes - v * (v - 1) // 2
+    v = ((1.0 + np.sqrt(8.0 * codes + 1.0)) * 0.5).astype(np.int64)
+    u = codes - (v * (v - 1) >> 1)
+    # the float estimate of v may be one off; then u falls outside [0, v)
+    low = u < 0
+    v[low] -= 1
+    u[low] += v[low]
+    high = u >= v
+    u[high] -= v[high]
+    v[high] += 1
     return np.column_stack([u, v])
+
+
+def _index_dtype(n: int, darts: int) -> type:
+    """Index type of a CSR with n vertices and the given number of darts:
+    int32, the type scipy's graph routines take without a copy, while n and
+    darts fit in it, and int64 beyond."""
+    return np.int32 if max(n, darts) <= np.iinfo(np.int32).max else np.int64
 
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are normalized to (u, v) with u < v and stored sorted, so two
-    graphs with the same edge set have identical edge arrays.  The CSR
-    adjacency is built by one sort of the dart keys tail*n + head, which
-    fit in int64 while n < 3*10^9.
+    Edges are normalized to (u, v) with u < v and stored as an int64 array
+    sorted by colex code (by v, then u), so two graphs with the same edge
+    set have identical edge arrays.  The CSR adjacency over both dart
+    directions is built from that canonical array by one sort of the int64
+    dart keys tail*n + head, which fit while n < 3*10^9.  Its index arrays,
+    and so degrees() and neighbors(), are int32 while n and 2m fit in
+    int32 (_index_dtype), and int64 beyond.
     """
 
     __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_core_deg")
@@ -127,18 +144,38 @@ class Graph:
                 raise GraphError("duplicate edges are not allowed")
             arr = np.column_stack([lo[order], hi[order]])
             del lo, hi, codes, order  # the CSR build below sets the memory peak
+        self._build(n, arr)
+
+    @classmethod
+    def _from_canonical(cls, n: int, edges: np.ndarray) -> Graph:
+        """Graph on 0..n-1 from an (m, 2) int64 edge array that is already
+        canonical: distinct rows (u, v) with 0 <= u < v < n, sorted by colex
+        code.  Nothing is checked; the array becomes the graph's own."""
+        G = cls.__new__(cls)
+        G._build(n, edges)
+        return G
+
+    def _build(self, n: int, edges: np.ndarray) -> None:
+        """Set every field from n and a canonical edge array."""
+        m = len(edges)
         self._n = n
-        self._edges = arr
-        self._edges.setflags(write=False)
-        # CSR adjacency over both dart directions; sorted dart keys leave
-        # every neighbor list sorted
-        keys = np.concatenate([arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
+        self._edges = edges
+        edges.setflags(write=False)
+        # sorted dart keys leave every neighbor list sorted
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(edges[:, 0], n, out=keys[:m])
+        keys[:m] += edges[:, 1]
+        np.multiply(edges[:, 1], n, out=keys[m:])
+        keys[m:] += edges[:, 0]
         keys.sort()
-        self._indices = keys % n
-        counts = np.bincount(keys // n, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._indptr = indptr
+        itype = _index_dtype(n, 2 * m)
+        self._indices = np.empty(2 * m, dtype=itype)
+        np.remainder(keys, n, out=self._indices, casting="unsafe")
+        keys //= n  # now the tails
+        counts = np.bincount(keys, minlength=n)
+        del keys  # the CSR build sets the memory peak of a gnm draw
+        self._indptr = np.zeros(n + 1, dtype=itype)
+        np.cumsum(counts, out=self._indptr[1:])
         self._indices.setflags(write=False)
         self._labels = None
         self._ncomp = None
@@ -164,10 +201,12 @@ class Graph:
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
+        """Degree array, of the CSR index dtype (int32 unless n or 2m
+        exceeds it)."""
         return np.diff(self._indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor array (read-only view)."""
+        """Sorted neighbor array (read-only view), of the CSR index dtype."""
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
     def adjacency_lists(self) -> list[list[int]]:
@@ -247,7 +286,12 @@ class InducedSubgraph:
 
 
 def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
-    """Subgraph induced on the given vertex set, relabeled compactly."""
+    """Subgraph induced on the given vertex set, relabeled compactly.
+
+    Only the darts of the kept vertices are read, and each head is looked
+    up in the sorted kept set, so the work is O(|S| + vol(S) log |S|) for
+    the kept set S and the sum vol(S) of its degrees, whatever G's size.
+    """
     keep = np.sort(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
                               dtype=np.int64))
     first = np.ones(keep.size, dtype=bool)
@@ -255,15 +299,16 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     keep = keep[first]
     if keep.size and (keep[0] < 0 or keep[-1] >= G.n):
         raise GraphError("vertex out of range")
-    lookup = np.full(G.n, -1, dtype=np.int64)
-    lookup[keep] = np.arange(keep.size)
-    e = G.edge_array
-    if e.size:
-        mask = (lookup[e[:, 0]] >= 0) & (lookup[e[:, 1]] >= 0)
-        sub_edges = lookup[e[mask]]
-    else:
-        sub_edges = e
-    return InducedSubgraph(Graph(keep.size, sub_edges), keep)
+    ptr = G._indptr
+    heads = G._indices[_dart_positions(ptr, keep)]
+    tails = np.repeat(np.arange(keep.size), ptr[keep + 1] - ptr[keep])
+    new = np.searchsorted(keep, heads)
+    # a dart from a kept tail down to a kept head is one edge (head, tail);
+    # CSR order sorts these by (tail, head), which is colex order
+    down = new < tails
+    down[down] = keep[new[down]] == heads[down]
+    edges = np.column_stack([new[down], tails[down]])
+    return InducedSubgraph(Graph._from_canonical(keep.size, edges), keep)
 
 
 def _dart_positions(ptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -361,7 +406,7 @@ def _contract_edges(n: int, edges: np.ndarray, sets) -> Graph:
     keep = (a >= 0) & (b >= 0) & (a != b)
     a, b = a[keep], b[keep]
     codes = np.unique(_encode_pairs(np.minimum(a, b), np.maximum(a, b)))
-    return Graph(count, _decode_pairs(codes))
+    return Graph._from_canonical(count, _decode_pairs(codes))
 
 
 class Chain(NamedTuple):

@@ -6,6 +6,12 @@ values of an iid uniform stream over all vertex pairs.  That is exactly
 sampling without replacement: the edge set is a uniform k-subset, its order
 is a uniform ordering, and so every prefix of length j is a G(n, j) sample.
 Pairs are encoded colexicographically as v*(v-1)/2 + u for u < v.
+
+The draw comes both in stream order and ascending, from one sort of the
+first k values when they are distinct.  Ascending codes decode to a
+canonical edge array, so gnm, gnp and add_uniform_edges build their Graph
+from it directly (Graph._from_canonical), without the validating
+constructor's second sort.
 """
 
 from __future__ import annotations
@@ -20,14 +26,18 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
 
-def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """First k distinct values of an iid uniform stream over range(N)."""
+def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """First k distinct values of an iid uniform stream over range(N), in
+    stream order and ascending."""
     if k > N:
         raise GraphError(f"cannot draw {k} distinct pairs from {N}")
     if k == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     size = k + max(16, k // 8)
     buf = rng.integers(0, N, size=size, dtype=np.int64)
+    head = np.sort(buf[:k])
+    if not (head[1:] == head[:-1]).any():
+        return buf[:k], head  # the first k draws are distinct
     while True:
         # first stream position of each distinct value: the least position
         # in each run of equal values after an (unstable) argsort
@@ -36,8 +46,9 @@ def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
         starts = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))
         first = np.minimum.reduceat(order, starts)
         if len(first) >= k:
-            first.sort()
-            return buf[first[:k]]
+            # the k values first seen no later than the k-th distinct one
+            kept = first <= np.partition(first, k - 1)[k - 1]
+            return buf[np.sort(first[kept])], runs[starts[kept]]
         extra = max(len(buf), 4 * (k - len(first)) + 64)
         buf = np.concatenate([buf, rng.integers(0, N, size=extra, dtype=np.int64)])
 
@@ -49,7 +60,9 @@ def gnm(n: int, m: int, seed=None) -> Graph:
     N = n * (n - 1) // 2
     if m > N:
         raise GraphError(f"m={m} exceeds the {N} possible edges")
-    return Graph(n, uniform_pairs(n, m, seed))
+    # the ascending draw is canonical; the draw buffer and the codes are
+    # freed before the CSR build
+    return Graph._from_canonical(n, _decode_pairs(_ordered_distinct(N, m, np.random.default_rng(seed))[1]))
 
 
 def gnp(n: int, p: float, seed=None) -> Graph:
@@ -63,7 +76,7 @@ def gnp(n: int, p: float, seed=None) -> Graph:
     rng = np.random.default_rng(seed)
     N = n * (n - 1) // 2
     m = int(rng.binomial(N, p)) if N else 0
-    return Graph(n, uniform_pairs(n, m, rng))
+    return Graph._from_canonical(n, _decode_pairs(_ordered_distinct(N, m, rng)[1]))
 
 
 def kappa_trajectory(n: int, m_max: int, seed=None) -> np.ndarray:
@@ -98,7 +111,7 @@ def uniform_pairs(n: int, k: int, seed=None) -> np.ndarray:
     N = n * (n - 1) // 2
     if k < 0 or k > N:
         raise GraphError(f"k must be between 0 and {N}")
-    return _decode_pairs(_ordered_distinct(N, k, np.random.default_rng(seed)))
+    return _decode_pairs(_ordered_distinct(N, k, np.random.default_rng(seed))[0])
 
 
 def add_uniform_edges(G: Graph, k: int, seed=None) -> tuple[Graph, np.ndarray]:
@@ -112,4 +125,4 @@ def add_uniform_edges(G: Graph, k: int, seed=None) -> tuple[Graph, np.ndarray]:
     """
     added = uniform_pairs(G.n, k, seed)
     merged = np.unique(_encode_pairs(*np.concatenate([G.edge_array, added]).T))
-    return Graph(G.n, _decode_pairs(merged)), added
+    return Graph._from_canonical(G.n, _decode_pairs(merged)), added

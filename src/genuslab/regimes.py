@@ -104,10 +104,14 @@ def predict_genus(n: int, m: int) -> RegimePrediction:
         )
     if s <= window:
         # genus stays bounded in probability across the window; the interval
-        # top is the supercritical formula evaluated at the window edge
+        # top is the supercritical formula evaluated at the window edge,
+        # clipped at the largest cycle-rank bound floor((m - k + 1)/2) of a
+        # graph with m edges, k being the fewest vertices that hold them
+        k = (1 + math.isqrt(8 * m + 1)) // 2
+        k += k * (k - 1) // 2 < m
         return RegimePrediction(
             regime="critical_window",
-            predicted_genus=(0.0, 8.0 / 3.0),
+            predicted_genus=(0.0, min(8.0 / 3.0, float((m - k + 1) // 2))),
             parameters={"s": s, "c": s / window},
         )
     if s <= SUPERCRITICAL_FRACTION * n:

@@ -9,8 +9,18 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from genuslab import CycleBudgetError, Graph
 from genuslab.fragile import DecompositionError, PieceDecomposition, _check_base
+
+
+def same_csr(a: Graph, b: Graph) -> bool:
+    """Equal edge arrays and equal CSR arrays of the same dtype."""
+    return a == b and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a._indptr, b._indptr), (a._indices, b._indices))
+    )
 
 
 def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:

@@ -16,6 +16,7 @@ from genuslab import (
     uniform_pairs,
 )
 from genuslab.random_models import _ordered_distinct
+from brute_force import same_csr
 
 
 def test_gnm_deterministic_per_seed() -> None:
@@ -56,24 +57,56 @@ def test_ordered_distinct_matches_a_stream_scan() -> None:
         # the same buffers, scanned one value at a time in stream order
         seen, out, drawn, buffers = set(), [], 0, 0
         size = k + max(16, k // 8)
+        head_repeats = False
         while len(out) < k:
-            for x in rng.integers(0, N, size=size, dtype=np.int64).tolist():
+            draws = rng.integers(0, N, size=size, dtype=np.int64).tolist()
+            if not buffers:
+                head_repeats = len(set(draws[:k])) < k
+            for x in draws:
                 if x not in seen:
                     seen.add(x)
                     out.append(x)
             drawn += size
             buffers += 1
             size = max(drawn, 4 * (k - len(out)) + 64)
-        return out[:k], buffers
+        return out[:k], buffers, head_repeats
 
-    for N, k in ((10, 10), (50, 40), (1000, 900)):
-        refills = 0
+    # (N, k) -> the path every seed takes: "refill" when some seed needs a
+    # second buffer, "repeat" when the first k draws of some seed repeat a
+    # value yet its first buffer suffices, "distinct" when the first k draws
+    # of every seed are distinct
+    cases = {(10, 10): "refill", (50, 40): "refill", (1000, 900): "refill",
+             (10**6, 3000): "repeat", (10**12, 5000): "distinct"}
+    for (N, k), path in cases.items():
+        seen = set()
         for seed in range(5):
-            expect, buffers = scan(N, k, np.random.default_rng(seed))
-            refills += buffers > 1
-            got = _ordered_distinct(N, k, np.random.default_rng(seed))
-            assert got.tolist() == expect, (N, k, seed)
-        assert refills, (N, k)  # the refill loop ran
+            expect, buffers, head_repeats = scan(N, k, np.random.default_rng(seed))
+            seen.add("refill" if buffers > 1 else "repeat" if head_repeats else "distinct")
+            ordered, ascending = _ordered_distinct(N, k, np.random.default_rng(seed))
+            assert ordered.tolist() == expect, (N, k, seed)
+            assert ascending.tolist() == sorted(expect), (N, k, seed)
+        assert path in seen, (N, k)
+        if path == "distinct":
+            assert seen == {"distinct"}, (N, k)
+
+
+def test_canonical_builds_match_the_validating_constructor() -> None:
+    # gnm, gnp and add_uniform_edges build their CSR from sorted draws with
+    # no checks; Graph() validates, normalises and sorts the same edges
+    for n, m, seed, repeats in ((10, 0, 1, False), (10, 45, 2, True), (12, 40, 3, True),
+                                (30, 300, 4, True), (10**5, 60_000, 5, False)):
+        N = n * (n - 1) // 2
+        head = np.random.default_rng(seed).integers(0, N, size=m, dtype=np.int64)
+        assert (len(set(head.tolist())) < m) == repeats, (n, m)
+        g = gnm(n, m, seed=seed)
+        assert same_csr(g, Graph(n, uniform_pairs(n, m, seed))), (n, m)
+    for n, p in ((1, 0.5), (40, 0.0), (40, 0.3), (40, 1.0)):
+        g = gnp(n, p, seed=n)
+        assert same_csr(g, Graph(n, g.edge_array)), (n, p)
+    for base in (Graph(12), path_graph(50), complete_graph(6)):
+        g, added = add_uniform_edges(base, 10, seed=6)
+        union = {tuple(e) for e in base.edge_list()} | {tuple(e) for e in added.tolist()}
+        assert same_csr(g, Graph(base.n, sorted(union)))
 
 
 def test_uniform_pairs_draws_every_pair_once() -> None:

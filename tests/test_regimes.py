@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -96,6 +97,26 @@ CUTOFF_POINTS = [
 @pytest.mark.parametrize("n, m, regime", CUTOFF_POINTS)
 def test_regime_on_either_side_of_each_cutoff(n: int, m: int, regime: str) -> None:
     assert predict_genus(n, m).regime == regime
+
+
+def test_critical_window_top_respects_the_cycle_rank_bound() -> None:
+    # no graph with n vertices and m edges has cycle rank above m - k + 1,
+    # k being the fewest vertices that hold m edges, so its genus is at
+    # most floor((m - k + 1)/2)
+    window_points = 0
+    for n in range(1, 21):
+        for m in range(n * (n - 1) // 2 + 1):
+            pred = predict_genus(n, m)
+            if pred.regime != "critical_window":
+                continue
+            window_points += 1
+            k = next(k for k in itertools.count(1) if k * (k - 1) // 2 >= m)
+            assert 0.0 <= pred.predicted_genus[1] <= (m - k + 1) // 2, (n, m)
+    assert window_points
+    assert predict_genus(12, 3).predicted_genus == (0.0, 0.0)
+    assert predict_genus(12, 6).predicted_genus == (0.0, 1.0)  # at most K4, rank 3
+    assert predict_genus(16, 8).predicted_genus == (0.0, 2.0)  # 8 edges on 5 vertices, rank 4
+    assert predict_genus(20, 10).predicted_genus == (0.0, pytest.approx(8.0 / 3.0))
 
 
 def test_prediction_validates_inputs() -> None:
