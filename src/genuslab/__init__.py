@@ -13,7 +13,6 @@ from .graphs import (
     contract_sets,
     cycle_graph,
     enumerate_cycles,
-    excess,
     format_edge_list,
     giant_component,
     giant_label,
@@ -24,14 +23,12 @@ from .graphs import (
     load_edge_list,
     parse_edge_list,
     path_graph,
-    save_edge_list,
     two_core,
 )
 from .random_models import (
     add_uniform_edges,
     gnm,
     gnp,
-    kappa_trajectory,
     trial_rng,
     uniform_pairs,
 )
@@ -42,7 +39,6 @@ from .embeddings import (
     exact_genus,
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
-    genus_of_rotation,
     genus_upper_bound,
     perturbation_upper_bound,
     trace_faces,
@@ -61,10 +57,7 @@ from .census import (
     SupercriticalReport,
     classify_cycle_neighborhood,
     count_census_cycles,
-    find_small_excess_subgraph,
-    neighborhood_bounds_hold,
     predicted_core_excess,
-    predicted_core_vertices,
     predicted_genus,
     supercritical_report,
 )

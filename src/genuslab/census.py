@@ -7,9 +7,8 @@ outside C and its leaf neighbourhood adjacent to exactly one cycle vertex),
 and bad neighbours (those adjacent to more than one cycle vertex).  The
 number of short cycles whose neighbourhood statistics stay below explicit
 thresholds is asymptotically Poisson; this module computes the counts
-exactly on concrete graphs, searches for small denser-than-tree subgraphs,
-and assembles the per-trial core report used by the supercritical
-experiments.
+exactly on concrete graphs and assembles the per-trial core report used by
+the supercritical experiments.
 """
 
 from __future__ import annotations
@@ -150,106 +149,10 @@ def count_census_cycles(
     return count, x
 
 
-def _connecting_path(
-    G: Graph, source: frozenset[int], target: frozenset[int], room: int
-) -> list[int] | None:
-    """Inner vertices of a shortest path from source to target, if at most
-    room of them exist; None otherwise."""
-    parent: dict[int, int] = {a: -1 for a in source}
-    frontier = sorted(source)
-    depth = 0
-    while frontier and depth <= room:
-        nxt: list[int] = []
-        for u in frontier:
-            for x in G.neighbors(u).tolist():
-                if x in target:
-                    inner: list[int] = []
-                    v = u
-                    while parent[v] != -1:
-                        inner.append(v)
-                        v = parent[v]
-                    return inner
-                if x not in parent:
-                    parent[x] = u
-                    nxt.append(x)
-        frontier = nxt
-        depth += 1
-    return None
-
-
-def find_small_excess_subgraph(
-    G: Graph, max_vertices: int, cap: int = CYCLE_CAP
-) -> tuple[int, ...] | None:
-    """Search for a connected subgraph on at most max_vertices vertices with
-    more edges than vertices; return its vertex set, or None.
-
-    Such a subgraph contains two distinct cycles, each of length at most
-    max_vertices, whose union (plus a shortest connecting path when they are
-    vertex-disjoint) is itself a witness, so a pair search over the
-    enumerated short cycles is exhaustive.  The smallest witness found is
-    returned.  Every cycle lives in the 2-core, and so does every simple
-    path between two cycles, so the connecting path never enters a pendant
-    tree.
-    """
-    if max_vertices < 4:
-        return None  # e > v needs at least 4 vertices in a simple graph
-    cycles = enumerate_cycles(G, max_vertices, cap=cap)
-    sets = [frozenset(c) for c in cycles]
-    best: set[int] | None = None
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if not (sets[a] & sets[b]):
-                continue
-            union = sets[a] | sets[b]
-            if len(union) <= max_vertices and (best is None or len(union) < len(best)):
-                best = set(union)
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if sets[a] & sets[b]:
-                continue
-            base = len(sets[a]) + len(sets[b])
-            if base > max_vertices or (best is not None and base >= len(best)):
-                continue
-            inner = _connecting_path(G, sets[a], sets[b], max_vertices - base)
-            if inner is not None:
-                union = set(sets[a]) | set(sets[b]) | set(inner)
-                if best is None or len(union) < len(best):
-                    best = union
-    return None if best is None else tuple(sorted(best))
-
-
-def neighborhood_bounds_hold(
-    G: Graph, a: float, s: int, cap: int = CYCLE_CAP
-) -> bool:
-    """Check that every cycle of length below a*n/s has a leaf neighbourhood
-    smaller than a^2*n^2/s^2 and fewer than a^2*n/s neighbours.
-
-    Neighbours are all vertices outside the cycle adjacent to it, whichever
-    class they fall into.  Vacuously true for acyclic graphs.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    n = G.n
-    leaf_cap = a * a * n * n / (s * s)
-    nb_cap = a * a * n / s
-    for cyc in enumerate_cycles(G, math.ceil(a * n / s) - 1, cap=cap):
-        stats = classify_cycle_neighborhood(G, cyc)
-        if stats.leaf_size >= leaf_cap or stats.neighbor_count >= nb_cap:
-            return False
-    return True
-
-
-def predicted_core_vertices(n: int, s: int) -> float:
-    """Leading-order vertex count of the giant component's 2-core: 8*s^2/n."""
-    return 8.0 * s * s / n
-
-
 def predicted_core_excess(n: int, s: int) -> float:
     """Leading-order edge surplus (edges minus vertices) of the giant's
-    2-core: (16/3)*s^3/n^2."""
-    return 16.0 * s**3 / (3.0 * n**2)
+    2-core: (16/3)*s^3/n^2, twice the predicted genus."""
+    return 2 * predicted_genus(n, s)
 
 
 def predicted_genus(n: int, s: int) -> float:

@@ -436,7 +436,6 @@ def _cmd_fragile(ns) -> int:
     tasks = [(ns.input, ns.base, ns.n, ns.delta, ns.k, ns.ell, ns.seed, i)
              for i in range(ns.trials)]
     reports, seconds = _run_trials(_fragile_trial, tasks, ns.jobs)
-    # the seed column keeps the report's field position
     rows = [
         {"trial_index": i, **asdict(rep), "seed": f"{ns.seed}:{i + 1}"}
         for i, rep in enumerate(reports)

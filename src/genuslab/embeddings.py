@@ -108,7 +108,8 @@ def trace_faces(graph: Graph, rotation: Rotation) -> FaceTrace:
                 order = rotation[b]
                 dart = (b, order[(position[b][a] + 1) % len(order)])
             faces.append(walk)
-    kappa = graph.component_count
+    # the block walk counts components without importing scipy
+    kappa = _biconnected_edge_blocks(graph)[1]
     face_count = len(faces) - (kappa - 1)
     twice_genus = graph.m - graph.n - face_count + kappa + 1
     if twice_genus < 0 or twice_genus % 2:
@@ -119,11 +120,6 @@ def trace_faces(graph: Graph, rotation: Rotation) -> FaceTrace:
         component_count=kappa,
         genus=twice_genus // 2,
     )
-
-
-def genus_of_rotation(graph: Graph, rotation: Rotation) -> int:
-    """Genus of the embedding given by rotation (sum over components)."""
-    return trace_faces(graph, rotation).genus
 
 
 def genus_upper_bound(graph: Graph) -> int:

@@ -67,7 +67,9 @@ class FragileReport:
     the graph of random edges alone (a subgraph).
     upper_bound is the base graph's genus bound plus one per added edge.
     good_edge_count, the number of added edges that join a new pair of
-    cores, always equals gamma_edges.
+    cores, always equals gamma_edges.  The report echoes n, k and Delta but
+    not the seed, which may be a Generator; the fragile command adds its own
+    "master:trial" seed column.
     """
 
     n: int
@@ -80,7 +82,6 @@ class FragileReport:
     good_edge_count: int
     genus_lower_gamma: int
     upper_bound: int
-    seed: int | None = None
 
 
 def _check_base(H: Graph, Delta: int) -> None:
@@ -261,7 +262,7 @@ def fragile_experiment(
             n=n, k=k, Delta=Delta, l=l, t=0, s=0,
             gamma_edges=0, good_edge_count=0,
             genus_lower_gamma=genus_lower_bound_density(Graph(n, added)),
-            upper_bound=upper, seed=seed,
+            upper_bound=upper,
         )
     d = select_cores(H, decompose_into_pieces(H, l, Delta))
     lo_t = (n - l * Delta) / (l * Delta**2)
@@ -276,5 +277,5 @@ def fragile_experiment(
         n=n, k=k, Delta=Delta, l=l, t=d.t, s=d.s,
         gamma_edges=gamma.m, good_edge_count=gamma.m,
         genus_lower_gamma=genus_lower_bound_short_cycles(gamma, ell),
-        upper_bound=upper, seed=seed,
+        upper_bound=upper,
     )

@@ -262,12 +262,6 @@ def bfs_tree(G: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     return _bfs(G.n, G._indptr, G._indices, root)
 
 
-def excess(G: Graph) -> int:
-    """Edges minus vertices; positive exactly when some component has two
-    independent cycles."""
-    return G.m - G.n
-
-
 @dataclass(frozen=True)
 class InducedSubgraph:
     """Induced subgraph relabeled to 0..k-1, with the label correspondence.
@@ -277,12 +271,6 @@ class InducedSubgraph:
 
     graph: Graph
     old_labels: np.ndarray
-
-    def new_index(self, old_label: int) -> int:
-        i = int(np.searchsorted(self.old_labels, old_label))
-        if i >= len(self.old_labels) or self.old_labels[i] != old_label:
-            raise KeyError(old_label)
-        return i
 
 
 def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
@@ -588,11 +576,6 @@ def format_edge_list(G: Graph) -> str:
 def load_edge_list(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-def save_edge_list(G: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(G))
 
 
 # -- small named constructors used by fixtures, tests, and the CLI --

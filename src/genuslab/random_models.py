@@ -1,5 +1,5 @@
-"""Random graph models: uniform G(n, m), binomial G(n, p), component-count
-trajectories along a uniform edge ordering, and edge perturbation.
+"""Random graph models: uniform G(n, m), binomial G(n, p), uniform pair
+streams, and edge perturbation.
 
 Every edge stream comes from uniform_pairs, which draws the first k distinct
 values of an iid uniform stream over all vertex pairs.  That is exactly
@@ -77,32 +77,6 @@ def gnp(n: int, p: float, seed=None) -> Graph:
     N = n * (n - 1) // 2
     m = int(rng.binomial(N, p)) if N else 0
     return Graph._from_canonical(n, _decode_pairs(_ordered_distinct(N, m, rng)[1]))
-
-
-def kappa_trajectory(n: int, m_max: int, seed=None) -> np.ndarray:
-    """Component counts along one uniform edge ordering: entry j is the
-    number of components after the first j pairs of uniform_pairs(n, m_max,
-    seed), a G(n, j) sample, so entry 0 is n."""
-    parent = list(range(n))
-    size = [1] * n
-    out = np.empty(m_max + 1, dtype=np.int64)
-    out[0] = n
-    ncomp = n
-    for j, (a, b) in enumerate(uniform_pairs(n, m_max, seed).tolist(), 1):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            ncomp -= 1
-        out[j] = ncomp
-    return out
 
 
 def uniform_pairs(n: int, k: int, seed=None) -> np.ndarray:

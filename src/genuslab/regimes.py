@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .asymptotics import genus_per_edge
+from .census import predicted_genus
 
 REGIME_NAMES = (
     "planar_subcritical",
@@ -86,7 +87,8 @@ def predict_genus(n: int, m: int) -> RegimePrediction:
 
     The classification is a total partition of the valid inputs
     (0 <= m <= n*(n-1)/2): the branches below are mutually exclusive and
-    exhaustive by construction.
+    exhaustive by construction.  The critical-window and linear predictions
+    are clipped at the largest genus any graph with m edges can have.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -94,6 +96,11 @@ def predict_genus(n: int, m: int) -> RegimePrediction:
     if m < 0 or m > pairs:
         raise ValueError(f"m must be between 0 and {pairs}")
 
+    # no graph with m edges has genus above its largest cycle-rank bound
+    # floor((m - k + 1)/2), k being the fewest vertices that hold m edges
+    k = (1 + math.isqrt(8 * m + 1)) // 2
+    k += k * (k - 1) // 2 < m
+    cap = float((m - k + 1) // 2)
     s = m - n / 2.0
     window = n**WINDOW_EXPONENT
     if s < -window:
@@ -104,18 +111,14 @@ def predict_genus(n: int, m: int) -> RegimePrediction:
         )
     if s <= window:
         # genus stays bounded in probability across the window; the interval
-        # top is the supercritical formula evaluated at the window edge,
-        # clipped at the largest cycle-rank bound floor((m - k + 1)/2) of a
-        # graph with m edges, k being the fewest vertices that hold them
-        k = (1 + math.isqrt(8 * m + 1)) // 2
-        k += k * (k - 1) // 2 < m
+        # top is the supercritical formula evaluated at the window edge
         return RegimePrediction(
             regime="critical_window",
-            predicted_genus=(0.0, min(8.0 / 3.0, float((m - k + 1) // 2))),
+            predicted_genus=(0.0, min(8.0 / 3.0, cap)),
             parameters={"s": s, "c": s / window},
         )
     if s <= SUPERCRITICAL_FRACTION * n:
-        value = 8.0 * s**3 / (3.0 * n**2)
+        value = predicted_genus(n, s)
         return RegimePrediction(
             regime="slightly_supercritical",
             predicted_genus=(value, value),
@@ -123,7 +126,7 @@ def predict_genus(n: int, m: int) -> RegimePrediction:
         )
     if m <= n * math.log(n):
         lam = m / n
-        value = genus_per_edge(lam) * m
+        value = min(genus_per_edge(lam) * m, cap)
         return RegimePrediction(
             regime="linear",
             predicted_genus=(value, value),

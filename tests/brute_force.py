@@ -212,37 +212,6 @@ def brute_classify(G: Graph, cycle) -> tuple[int, int, int, int, int]:
     return leaf_size, good, bad, tree_components, attached
 
 
-def brute_excess_witness(G: Graph, max_vertices: int) -> bool:
-    """True when some connected induced subgraph on at most max_vertices
-    vertices has more edges than vertices."""
-    for k in range(4, min(max_vertices, G.n) + 1):
-        for sub in combinations(range(G.n), k):
-            keep = set(sub)
-            edges = [
-                (u, w) for u, w in G.edge_list() if u in keep and w in keep
-            ]
-            if len(edges) <= k:
-                continue
-            if _connected_on(sub, edges):
-                return True
-    return False
-
-
-def _connected_on(vertices, edges) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
 def bfs_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
     """decompose_into_pieces by a per-vertex breadth-first search, explicit
     children lists and one stack walk per detached piece.

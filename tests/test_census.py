@@ -13,20 +13,17 @@ from genuslab import (
     count_census_cycles,
     cycle_graph,
     enumerate_cycles,
-    find_small_excess_subgraph,
     genus_lower_bound_short_cycles,
     giant_component,
     gnm,
-    neighborhood_bounds_hold,
     path_graph,
     predicted_core_excess,
-    predicted_core_vertices,
     predicted_genus,
     supercritical_report,
     two_core,
 )
-from genuslab.corpus import census_showcase, theta_graph
-from brute_force import brute_classify, brute_excess_witness
+from genuslab.corpus import census_showcase
+from brute_force import brute_classify
 
 
 def test_classify_pendant_tree() -> None:
@@ -141,43 +138,6 @@ def test_census_count_monotone_in_length_at_scale() -> None:
     assert counts[0] <= counts[1] <= counts[2]
 
 
-def test_excess_witness_examples() -> None:
-    theta = theta_graph()
-    assert find_small_excess_subgraph(theta, 5) == (0, 1, 2, 3, 4)
-    assert find_small_excess_subgraph(theta, 4) is None
-    assert find_small_excess_subgraph(cycle_graph(5), 5) is None
-    assert find_small_excess_subgraph(complete_graph(4), 4) == (0, 1, 2, 3)
-    assert find_small_excess_subgraph(complete_graph(4), 3) is None
-
-
-def test_excess_witness_dumbbell() -> None:
-    g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
-                  (4, 5), (5, 6), (4, 6)])
-    assert find_small_excess_subgraph(g, 7) == tuple(range(7))
-    assert find_small_excess_subgraph(g, 6) is None
-
-
-def test_excess_witness_matches_brute_force(corpus6) -> None:
-    from genuslab import induced_subgraph
-
-    for g in corpus6:
-        for max_vertices in (4, 5, 6):
-            witness = find_small_excess_subgraph(g, max_vertices)
-            if witness is None:
-                assert not brute_excess_witness(g, max_vertices)
-            else:
-                assert len(witness) <= max_vertices
-                sub = induced_subgraph(g, witness).graph
-                assert sub.m > sub.n
-                assert sub.component_count == 1
-
-
-def test_excess_witness_needs_four_vertices(corpus6) -> None:
-    for g in corpus6:
-        assert find_small_excess_subgraph(g, 2) is None
-        assert find_small_excess_subgraph(g, 3) is None
-
-
 def test_census_on_forests_and_below_length_three() -> None:
     star = Graph(9, [(0, v) for v in range(1, 9)])
     forests = [path_graph(10), star, Graph(5), gnm(40, 12, seed=(97, 0))]
@@ -185,27 +145,13 @@ def test_census_on_forests_and_below_length_three() -> None:
     for f in forests:
         for s in (1, 2, 5):
             assert count_census_cycles(f, s, 10.0) == (0, 0.05 * math.log(s**3 / f.n**2))
-            assert neighborhood_bounds_hold(f, 10.0, s) is True
-        assert find_small_excess_subgraph(f, f.n) is None
     # K6 is full of short cycles, but none of length below 3; every
     # triangle has 3 neighbours, above the neighbour cap 1.5 at a = 0.5
     k6 = complete_graph(6)
     assert count_census_cycles(k6, 6, 2.9)[0] == 0
-    assert neighborhood_bounds_hold(k6, 0.5, 1) is True
-    assert neighborhood_bounds_hold(k6, 0.55, 1) is False
-    assert find_small_excess_subgraph(k6, 3) is None
-
-
-def test_neighborhood_bounds_flag() -> None:
-    edges = [(0, 1), (1, 2), (0, 2)] + [(0, v) for v in range(3, 11)]
-    g = Graph(11, edges)
-    assert neighborhood_bounds_hold(g, 2.0, 1) is True
-    assert neighborhood_bounds_hold(g, 1.0, 2) is False
-    assert neighborhood_bounds_hold(path_graph(6), 1.0, 2) is True
 
 
 def test_predicted_quantities() -> None:
-    assert predicted_core_vertices(100, 10) == pytest.approx(8.0)
     assert predicted_core_excess(100, 10) == pytest.approx(16.0 / 30.0)
     assert predicted_genus(100, 10) == pytest.approx(8.0 / 30.0)
 

@@ -11,7 +11,6 @@ from genuslab import (
     exact_genus,
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
-    genus_of_rotation,
     genus_upper_bound,
     path_graph,
     perturbation_upper_bound,
@@ -34,7 +33,7 @@ def test_rotation_validation() -> None:
     with pytest.raises(GraphError):
         trace_faces(g, {0: (1, 2), 1: (0, 2), 2: (0, 0)})
     with pytest.raises(GraphError):
-        genus_of_rotation(g, {0: (1, 2), 1: (0, 2)})
+        trace_faces(g, {0: (1, 2), 1: (0, 2)})
 
 
 def test_face_trace_on_square_with_tail() -> None:
@@ -50,9 +49,9 @@ def test_face_trace_on_square_with_tail() -> None:
 def test_rotations_of_k4_span_both_genera() -> None:
     k4 = complete_graph(4)
     planar = exact_genus(k4).rotation
-    assert genus_of_rotation(k4, planar) == 0
+    assert trace_faces(k4, planar).genus == 0
     sorted_order = {v: tuple(int(x) for x in k4.neighbors(v)) for v in range(4)}
-    assert genus_of_rotation(k4, sorted_order) == 1
+    assert trace_faces(k4, sorted_order).genus == 1
 
 
 def test_disconnected_graphs_share_one_outer_face() -> None:

@@ -11,8 +11,8 @@ from genuslab import (
     complete_bipartite_graph,
     complete_graph,
     exact_genus,
-    genus_of_rotation,
     gnm,
+    trace_faces,
     trial_rng,
     two_core,
 )
@@ -60,7 +60,7 @@ def test_exact_genus_returns_witness_rotation(fixtures) -> None:
     for name in ("k4", "k5", "k33", "c5_chord", "q3", "theta"):
         g = fixtures[name]
         res = exact_genus(g)
-        assert genus_of_rotation(g, res.rotation) == res.genus
+        assert trace_faces(g, res.rotation).genus == res.genus
 
 
 def test_genus_of_trivial_graphs() -> None:
@@ -83,7 +83,8 @@ def test_genus_adds_over_components(fixtures, corpus6, genus_of) -> None:
     res = exact_genus(pair)
     assert res.genus == 2
     assert res.face_count == 9  # five faces per block, sharing one outer face
-    # exact_genus counts components itself: check its kappa on isolated vertices
+    # exact_genus and trace_faces count components themselves: check their
+    # kappa on isolated vertices
     k4 = [(u + 5, w + 5) for u, w in complete_graph(4).edge_list()]
     cases = [(pair, 2), (Graph(3, []), 0), (Graph(11, k5.edge_list() + k4), 1)]
     cases += [(_padded(g), genus_of(g)) for g in [*fixtures.values(), *corpus6]]
@@ -95,6 +96,7 @@ def test_genus_adds_over_components(fixtures, corpus6, genus_of) -> None:
         res = exact_genus(g)
         assert res.genus == genus
         assert res.face_count == g.m - g.n + kappa + 1 - 2 * genus
+        assert trace_faces(g, res.rotation).component_count == kappa
 
 
 def test_genus_adds_over_blocks_of_a_barbell() -> None:
@@ -186,7 +188,7 @@ def test_planarity_agrees_with_networkx() -> None:
         checked += 1
         res = exact_genus(g)
         assert (res.genus == 0) == nx.check_planarity(nxg)[0], g.edge_list()
-        assert genus_of_rotation(g, res.rotation) == res.genus
+        assert trace_faces(g, res.rotation).genus == res.genus
 
 
 def test_search_matches_the_reference_kernel(monkeypatch, fixtures, corpus6) -> None:

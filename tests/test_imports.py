@@ -19,7 +19,7 @@ from genuslab.corpus import named_fixtures
 
 results = {name: exact_genus(g).genus for name, g in named_fixtures().items()}
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    rc = cli.main(["genus", "exact", "--fixture", "petersen"])
+    rc = cli.main(["genus", "exact", "--fixture", "petersen", "--faces"])
 loaded = sorted(m for m in sys.modules
                 if m.startswith(("scipy.sparse", "scipy.special", "scipy.linalg")))
 # the functions that import scipy when called still work afterwards

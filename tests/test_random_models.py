@@ -10,7 +10,6 @@ from genuslab import (
     complete_graph,
     gnm,
     gnp,
-    kappa_trajectory,
     path_graph,
     trial_rng,
     uniform_pairs,
@@ -122,24 +121,6 @@ def test_uniform_pairs_prefix_is_a_valid_graph() -> None:
     drawn = uniform_pairs(40, 60, seed=21)
     g = Graph(40, [tuple(e) for e in drawn.tolist()])
     assert g.m == 60
-
-
-def test_kappa_trajectory_steps_down_by_merges() -> None:
-    n, m_max = 200, 300
-    traj = kappa_trajectory(n, m_max, seed=9)
-    assert traj.shape == (m_max + 1,)
-    assert traj[0] == n
-    steps = traj[:-1] - traj[1:]
-    assert int(steps.min()) >= 0
-    assert int(steps.max()) <= 1
-
-
-def test_kappa_trajectory_matches_uniform_pairs_prefixes() -> None:
-    traj = kappa_trajectory(40, 100, seed=9)
-    drawn = uniform_pairs(40, 100, seed=9)
-    for j in range(101):
-        g = Graph(40, [tuple(e) for e in drawn[:j].tolist()])
-        assert g.component_count == traj[j]
 
 
 def test_add_edges_examples() -> None:

@@ -102,17 +102,17 @@ def test_regime_on_either_side_of_each_cutoff(n: int, m: int, regime: str) -> No
 def test_critical_window_top_respects_the_cycle_rank_bound() -> None:
     # no graph with n vertices and m edges has cycle rank above m - k + 1,
     # k being the fewest vertices that hold m edges, so its genus is at
-    # most floor((m - k + 1)/2)
-    window_points = 0
+    # most floor((m - k + 1)/2); that holds in every regime
+    regimes = set()
     for n in range(1, 21):
         for m in range(n * (n - 1) // 2 + 1):
             pred = predict_genus(n, m)
-            if pred.regime != "critical_window":
-                continue
-            window_points += 1
+            regimes.add(pred.regime)
             k = next(k for k in itertools.count(1) if k * (k - 1) // 2 >= m)
-            assert 0.0 <= pred.predicted_genus[1] <= (m - k + 1) // 2, (n, m)
-    assert window_points
+            lo, hi = pred.predicted_genus
+            assert 0.0 <= lo <= hi <= (m - k + 1) // 2, (n, m)
+    assert {"critical_window", "linear", "dense"} <= regimes
+    assert predict_genus(5, 7).predicted_genus == (1.0, 1.0)  # rank at most 3
     assert predict_genus(12, 3).predicted_genus == (0.0, 0.0)
     assert predict_genus(12, 6).predicted_genus == (0.0, 1.0)  # at most K4, rank 3
     assert predict_genus(16, 8).predicted_genus == (0.0, 2.0)  # 8 edges on 5 vertices, rank 4
