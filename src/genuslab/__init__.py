@@ -1,7 +1,6 @@
 """Genus bounds, rotation-system embeddings, and structure of sparse random graphs."""
 
 from .graphs import (
-    Chain,
     CycleBudgetError,
     Graph,
     GraphError,

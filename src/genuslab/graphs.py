@@ -1,6 +1,6 @@
 """Simple undirected graphs and the structural operations the rest of the
-package builds on: components, 2-cores, induced subgraphs, quotients, and
-bounded-length cycle enumeration.
+package builds on: components, 2-cores, kernels, induced subgraphs,
+quotients, and bounded-length cycle enumeration.
 
 Vertices are the integers 0..n-1.  Self-loops and parallel edges are
 rejected.  Storage is a canonical int64 edge array (pairs u < v sorted by
@@ -13,7 +13,11 @@ Only component labels (Graph._components, behind component_count,
 component_labels and giant_component) and breadth-first search (_bfs,
 behind bfs_tree) run in scipy, through the adapter _csr_matrix; each
 imports scipy.sparse when first called.  Everything else here, the 2-core,
-kernel and cycle enumeration included, runs on numpy alone.
+kernel and cycle enumeration included, runs on numpy alone.  kernel finds
+its chains by pointer jumping over the core darts and walks only rings
+vertex by vertex; enumerate_cycles grows path prefixes over the kernel as
+arrays, in batches of at most EXPAND_SLICE, and builds vertex tuples only
+for the cycles it finds.
 
 A Graph caches its component labels and its read-only 2-core degrees
 (_core_degrees, behind two_core, kernel and enumerate_cycles), each
@@ -23,7 +27,6 @@ computed at most once, whichever function asks first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -301,8 +304,11 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
 
 def _dart_positions(ptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """CSR positions of the darts leaving the given vertices, concatenated."""
-    starts = ptr[vertices]
-    counts = ptr[vertices + 1] - starts
+    return _ranges(ptr[vertices], ptr[vertices + 1] - ptr[vertices])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges starts[i] .. starts[i] + counts[i] - 1."""
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
@@ -397,86 +403,98 @@ def _contract_edges(n: int, edges: np.ndarray, sets) -> Graph:
     return Graph._from_canonical(count, _decode_pairs(codes))
 
 
-class Chain(NamedTuple):
-    """A maximal path of the 2-core whose inner vertices have degree 2 there.
-
-    tail and head index Kernel.vertices and are equal for a loop; inner
-    lists the inner vertices, as labels of the graph, from tail to head.
-    """
-
-    tail: int
-    head: int
-    inner: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.inner) + 1
-
-
 @dataclass(frozen=True)
 class Kernel:
     """The 2-core of a graph with its degree-2 chains suppressed.
 
     vertices holds, ascending, the labels of the core vertices of core
-    degree at least 3.  chains are the edges of the kernel multigraph,
-    loops and parallel chains included.  rings are the core components with
-    no kernel vertex, which are bare cycles, each listed from its least
-    vertex towards the smaller of that vertex's neighbours.  Every core
-    edge lies on exactly one chain or ring.
+    degree at least 3.  The chains are the edges of the kernel multigraph,
+    loops and parallel chains included, one array entry each: chain i runs
+    from vertices[tail[i]] to vertices[head[i]] (the same vertex for a
+    loop) through the inner vertices inner[offsets[i]:offsets[i + 1]],
+    labels of the graph listed from tail to head.  rings are the core
+    components with no kernel vertex, which are bare cycles, each listed
+    from its least vertex towards the smaller of that vertex's neighbours.
+    Every core edge lies on exactly one chain or ring.
     """
 
     vertices: np.ndarray
-    chains: list[Chain]
+    tail: np.ndarray
+    head: np.ndarray
+    offsets: np.ndarray
+    inner: np.ndarray
     rings: list[tuple[int, ...]]
+
+    @property
+    def length(self) -> np.ndarray:
+        """Edge count of each chain."""
+        return np.diff(self.offsets) + 1
 
 
 def kernel(G: Graph) -> Kernel:
-    """Peel G to its 2-core and walk each maximal degree-2 chain once."""
+    """Kernel of G, from the 2-core peel cached on G, on arrays.
+
+    The core darts are numbered in CSR order.  A dart into a vertex of core
+    degree 2 steps to that vertex's other dart, and pointer jumping follows
+    the steps to give every dart the last dart of its chain and the number
+    of darts after it.  A chain starts at each dart leaving a kernel vertex;
+    of its two orientations the one whose first dart comes first is kept,
+    so the chains are listed by tail, then by the first vertex after it.
+    The darts whose steps never reach a kernel vertex lie on rings, which
+    are walked one vertex at a time.
+    """
     deg = _core_degrees(G)
     core = np.flatnonzero(deg)
+    cdeg = deg[core].astype(np.int64)
     heads = G._indices[_dart_positions(G._indptr, core)]
-    flat = heads[deg[heads] > 0].tolist()
-    # each core vertex's neighbours inside the core, sorted
-    adj: dict[int, list[int]] = {}
-    pos = 0
-    for v, d in zip(core.tolist(), deg[core].tolist()):
-        adj[v] = flat[pos:pos + d]
-        pos += d
-    branch = core[deg[core] >= 3]
-    index = {v: i for i, v in enumerate(branch.tolist())}
-    walked: set[int] = set()
-
-    def walk(start: int, x: int) -> tuple[list[int], int]:
-        """Degree-2 vertices from x on, stepping away from start, and the
-        vertex that ends the walk: a kernel vertex, or start itself."""
-        inner, prev = [], start
-        while x != start and x not in index:
-            inner.append(x)
-            a, b = adj[x]
-            prev, x = x, (b if a == prev else a)
-        walked.update(inner)
-        return inner, x
-
-    chains = []
-    for u, i in index.items():
-        for w in adj[u]:
-            if w in walked or (w in index and w < u):
-                continue  # this chain was walked from its other end
-            inner, end = walk(u, w)
-            chains.append(Chain(i, index[end], tuple(inner)))
+    # core darts in CSR order, tail and head as indices into core
+    head = np.searchsorted(core, heads[deg[heads] > 0])
+    tail = np.repeat(np.arange(core.size), cdeg)
+    first = np.cumsum(cdeg) - cdeg  # each core vertex's first dart
+    rev = np.searchsorted(tail * core.size + head, head * core.size + tail)
+    through = cdeg[head] == 2
+    step = np.where(through, 2 * first[head] + 1 - rev, np.arange(head.size))
+    # after these rounds every chain dart jumps to its chain's last dart
+    last, after = step, through.astype(np.int64)
+    for _ in range(int(np.count_nonzero(cdeg == 2)).bit_length()):
+        after = after + after[last]
+        last = last[last]
+    on_ring = through[last]
+    branch = cdeg >= 3
+    index = np.cumsum(branch) - 1  # kernel index of each branch vertex
+    start = np.flatnonzero(branch[tail])
+    start = start[start < rev[last[start]]]
+    end = last[start]
+    offsets = np.zeros(start.size + 1, dtype=np.int64)
+    np.cumsum(after[start], out=offsets[1:])
+    # the inner vertices are the heads of the kept chains' darts before
+    # their last; ring darts and the other orientations find no chain
+    chain = np.full(head.size, -1)
+    chain[end] = np.arange(start.size)
+    mid = np.flatnonzero(through)
+    c = chain[last[mid]]
+    mid, c = mid[c >= 0], c[c >= 0]
+    inner = np.empty(offsets[-1], dtype=np.int64)
+    inner[offsets[c + 1] - after[mid]] = core[head[mid]]
     rings = []
-    for v in core[deg[core] == 2].tolist():
-        if v not in walked:
-            rings.append((v, *walk(v, adj[v][0])[0]))
-    return Kernel(branch, chains, rings)
+    if on_ring.any():
+        to, steps, firsts = head.tolist(), step.tolist(), first.tolist()
+        walked = set()
+        for v in np.unique(tail[on_ring]).tolist():
+            if v in walked:
+                continue
+            ring, d = [v], firsts[v]
+            while to[d] != v:
+                ring.append(to[d])
+                d = steps[d]
+            walked.update(ring)
+            rings.append(tuple(core[ring].tolist()))
+    return Kernel(core[branch], index[tail[start]], index[head[end]], offsets, inner, rings)
 
 
-def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate the cycle to start at its least vertex, then orient it so that
-    the second entry is below the last."""
-    i = cycle.index(min(cycle))
-    cycle = cycle[i:] + cycle[:i]
-    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
+# Most path prefixes enumerate_cycles expands at once; bounds its memory on
+# dense graphs, where the cycle count can pass the cap after a few batches.
+EXPAND_SLICE = 512
 
 
 def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tuple[int, ...]]:
@@ -489,61 +507,112 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     The search runs on the kernel.  A cycle is a ring, a loop, or a closed
     path of two or more chains through distinct kernel vertices.  Such a
     path is rooted at its least kernel vertex r and kept in the orientation
-    whose first chain id is below its closing chain id.  A dict from each
-    kernel neighbour of r to the chains back to r closes a path by lookup,
-    so the search descends only while another chain could still close it.
+    whose first chain id is below its closing chain id.  The paths from
+    every root grow together, one chain per step, as arrays of prefixes:
+    a prefix steps along a chain to w only when w > r, w is not on it yet
+    and its length stays below max_length, and the step closes a cycle for
+    each chain from w back to r, found by a search in the sorted kernel
+    darts, whose id is above the first chain's and whose length keeps the
+    cycle within max_length.  A stack of prefix batches, each cut to at
+    most EXPAND_SLICE prefixes, is expanded deepest first, so the memory
+    stays bounded while the count is checked against cap after each batch.
+    Vertex tuples are built only for the cycles found.
     """
     if max_length < 3:
         return []
     K = kernel(G)
-    labels = K.vertices.tolist()
-    found = [ring for ring in K.rings if len(ring) <= max_length]
-    # darts[v]: (far end, chain id, length, walk from v, walk back to v)
-    darts: list[list[tuple]] = [[] for _ in labels]
-    for c, chain in enumerate(K.chains):
-        a, b, inner = chain
-        if a == b:
-            if chain.length <= max_length:
-                found.append((labels[a], *inner))
-        elif chain.length < max_length:
-            there = (labels[a], *inner)
-            back = (labels[b], *inner[::-1])
-            darts[a].append((b, c, chain.length, there, back))
-            darts[b].append((a, c, chain.length, back, there))
-    if len(found) > cap:
+    length = K.length
+    loop = K.tail == K.head
+    rings = [ring for ring in K.rings if len(ring) <= max_length]
+    loops = np.flatnonzero(loop & (length <= max_length))[:, None]
+    found = [(loops, np.ones(loops.shape, dtype=bool))]
+    count = len(rings) + loops.size
+    if count > cap:
         raise CycleBudgetError(cap, max_length)
-    on_path = [False] * len(labels)
-    for r, root_darts in enumerate(darts):
-        close: dict[int, list[tuple]] = {}
-        for w, c, length, _, back in root_darts:
-            if w > r:
-                close.setdefault(w, []).append((c, length, back))
-        if not close:
-            continue
-        on_path[r] = True
-        first = -1  # chain id of the current path's first chain
-        # frames: (vertex, path length, path walk up to it, darts left to try)
-        stack = [(r, 0, (), iter(root_darts))]
-        while stack:
-            _, length, prefix, todo = stack[-1]
-            for w, c, step, there, _ in todo:
-                total = length + step
-                if w <= r or on_path[w] or total >= max_length:
-                    continue
-                if len(stack) == 1:
-                    first = c
-                for cc, back_length, back in close.get(w, ()):
-                    if cc > first and total + back_length <= max_length:
-                        found.append(prefix + there + back)
-                        if len(found) > cap:
-                            raise CycleBudgetError(cap, max_length)
-                if total + 1 < max_length:
-                    on_path[w] = True
-                    stack.append((w, total, prefix + there, iter(darts[w])))
-                    break
-            else:
-                on_path[stack.pop()[0]] = False
-    return sorted(_canonical(cycle) for cycle in found)
+    # search darts: both orientations of each chain short enough to share a
+    # cycle with another, sorted by (tail, head)
+    ids = np.flatnonzero(~loop & (length < max_length))
+    N = K.vertices.size
+    tails = np.concatenate([K.tail[ids], K.head[ids]])
+    heads = np.concatenate([K.head[ids], K.tail[ids]])
+    order = np.argsort(tails * N + heads, kind="stable")
+    tails, heads = tails[order], heads[order]
+    chains = np.concatenate([ids, ids])[order]
+    forward = order < ids.size
+    steps = length[chains]
+    ptr = np.searchsorted(tails, np.arange(N + 1))
+    key, key_first, key_count = np.unique(tails * N + heads, return_index=True, return_counts=True)
+    stack = [(np.arange(N), np.empty((N, 0), dtype=np.int64), np.zeros(N, dtype=np.int64))]
+    while stack:
+        root, path, total = stack.pop()
+        if root.size > EXPAND_SLICE:
+            stack.append((root[EXPAND_SLICE:], path[EXPAND_SLICE:], total[EXPAND_SLICE:]))
+            root, path, total = root[:EXPAND_SLICE], path[:EXPAND_SLICE], total[:EXPAND_SLICE]
+        at = heads[path[:, -1]] if path.shape[1] else root
+        counts = ptr[at + 1] - ptr[at]
+        src = np.repeat(np.arange(root.size), counts)
+        dart = _ranges(ptr[at], counts)
+        w = heads[dart]
+        t = total[src] + steps[dart]
+        ok = (w > root[src]) & (t < max_length)
+        src, dart, w, t = src[ok], dart[ok], w[ok], t[ok]
+        if path.shape[1]:
+            ok = np.ones(src.size, dtype=bool)
+            for on_path in heads[path].T:
+                ok &= on_path[src] != w
+            src, dart, w, t = src[ok], dart[ok], w[ok], t[ok]
+        r = root[src]
+        first = chains[path[src, 0]] if path.shape[1] else chains[dart]
+        # close through each chain from w back to r: a dart r -> w, reversed
+        query = r * N + w
+        pos = np.minimum(np.searchsorted(key, query), key.size - 1)
+        hits = np.where(key[pos] == query, key_count[pos], 0)
+        closing = np.repeat(np.arange(query.size), hits)
+        back = _ranges(key_first[pos], hits)
+        ok = (chains[back] > first[closing]) & (t[closing] + steps[back] <= max_length)
+        closing, back = closing[ok], back[ok]
+        count += closing.size
+        if count > cap:
+            raise CycleBudgetError(cap, max_length)
+        if closing.size:
+            darts = np.column_stack([path[src[closing]], dart[closing]])
+            found.append((np.column_stack([chains[darts], chains[back]]),
+                          np.column_stack([forward[darts], ~forward[back]])))
+        grow = t + 1 < max_length
+        if grow.any():
+            stack.append((r[grow], np.column_stack([path[src[grow]], dart[grow]]), t[grow]))
+    return sorted(rings + _cycle_tuples(K, found))
+
+
+def _cycle_tuples(K: Kernel, found) -> list[tuple[int, ...]]:
+    """Canonical vertex tuples of cycles given as (chain ids, forward flags)
+    pairs of equal-shape arrays, one row per cycle listing its chains in
+    walk order.  Each chain contributes the vertex it leaves, then its
+    inner vertices in the walk's direction."""
+    chain = np.concatenate([c.ravel() for c, _ in found])
+    forward = np.concatenate([f.ravel() for _, f in found])
+    if not chain.size:
+        return []
+    per_cycle = np.concatenate([np.full(len(c), c.shape[1]) for c, _ in found])
+    seg = K.length[chain]
+    seg_start = np.cumsum(seg) - seg
+    which = np.repeat(np.arange(chain.size), seg)
+    pos = np.arange(which.size) - seg_start[which]
+    verts = K.vertices[np.where(forward, K.tail[chain], K.head[chain])][which]
+    mid = pos > 0
+    c, j = chain[which[mid]], pos[mid]
+    verts[mid] = K.inner[np.where(forward[which[mid]], K.offsets[c] + j - 1, K.offsets[c + 1] - j)]
+    size = np.add.reduceat(seg, np.cumsum(per_cycle) - per_cycle)
+    begin = np.cumsum(size) - size
+    out = []
+    for k in np.unique(size).tolist():
+        rows = verts[begin[size == k][:, None] + np.arange(k)]
+        # rotate each row to its least vertex, then orient it
+        rows = np.take_along_axis(rows, (rows.argmin(axis=1)[:, None] + np.arange(k)) % k, axis=1)
+        flip = rows[:, 1] > rows[:, -1]
+        rows[flip, 1:] = rows[flip, :0:-1]
+        out += zip(*rows.T.tolist())
+    return out
 
 
 # -- edge list text format: first line "n m", then one "u v" line per edge --

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,15 @@ def _theta(*inner_counts: int, seed: int = 0) -> Graph:
     return _relabel(n, edges, seed)
 
 
+def _rings(*sizes: int, seed: int) -> Graph:
+    """Disjoint cycles of the given sizes: a core with no kernel vertex."""
+    n, edges = 0, []
+    for k in sizes:
+        edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        n += k
+    return _relabel(n, edges, seed)
+
+
 def _kernel_fixtures() -> dict[str, Graph]:
     k4 = complete_graph(4)
     k33 = complete_bipartite_graph(3, 3)
@@ -407,10 +417,22 @@ def _networkx_cycles(g: Graph, max_length: int) -> set[tuple[int, ...]]:
 
 
 def test_kernel_search_matches_dfs_and_networkx() -> None:
-    for name, g in _kernel_fixtures().items():
-        lengths = {len(c) for c in dfs_cycles(g, g.n)}
-        assert lengths, name
-        for max_len in sorted({2, 3, g.n} | lengths | {k - 1 for k in lengths}):
+    # every cycle length of the sparse fixtures, each one less, and the
+    # degenerate bounds; pointer jumping crosses 2,000-vertex chains
+    cases = [(name, g, None) for name, g in _kernel_fixtures().items()]
+    cases += [("rings", _rings(3, 4, 7, 2000, seed=7), None),
+              ("long theta", _theta(2000, 2000, 2000, seed=8), None)]
+    # dense graphs shaped like the fragile quotient (m from 6n to 10n), at
+    # the short lengths its census takes; the references cost seconds per
+    # 10^5 cycles, so the denser graphs stop at shorter lengths
+    cases += [(f"gnm({n}, {m})", gnm(n, m, seed=(97, n)), lengths)
+              for n, m, lengths in ((40, 240, (3, 4, 5)), (50, 400, (3, 4)), (60, 600, (3,)))]
+    for name, g, max_lens in cases:
+        if max_lens is None:
+            lengths = {len(c) for c in dfs_cycles(g, g.n)}
+            assert lengths, name
+            max_lens = sorted({2, 3, g.n} | lengths | {k - 1 for k in lengths})
+        for max_len in max_lens:
             fast = enumerate_cycles(g, max_len)
             assert fast == dfs_cycles(g, max_len), (name, max_len)
             assert set(fast) == _networkx_cycles(g, max_len), (name, max_len)
@@ -420,8 +442,8 @@ def test_kernel_of_a_loop_and_a_ring() -> None:
     g = _kernel_fixtures()["loop and ring"]
     k = kernel(g)
     assert len(k.vertices) == 5  # the K4 and the loop's attachment vertex
-    assert sorted(c.length for c in k.chains) == [1, 1, 1, 1, 1, 1, 2, 5]
-    assert [c.tail == c.head for c in k.chains].count(True) == 1
+    assert sorted(k.length.tolist()) == [1, 1, 1, 1, 1, 1, 2, 5]
+    assert np.count_nonzero(k.tail == k.head) == 1
     assert [len(ring) for ring in k.rings] == [6]
     assert kernel(_kernel_fixtures()["no vertex of degree 3"]).vertices.size == 0
 
@@ -436,14 +458,16 @@ def test_kernel_partitions_the_core() -> None:
         k = kernel(g)
         assert k.vertices.tolist() == np.flatnonzero(deg >= 3).tolist()
         ends = k.vertices.tolist()
-        walks = [(ends[c.tail], *c.inner, ends[c.head]) for c in k.chains]
+        inner = [k.inner[a:b].tolist() for a, b in zip(k.offsets[:-1], k.offsets[1:])]
+        walks = [(ends[t], *mid, ends[h]) for t, h, mid in zip(k.tail.tolist(), k.head.tolist(), inner)]
         walks += [(*ring, ring[0]) for ring in k.rings]
         # every core edge on exactly one chain or ring
         edges = sorted((min(a, b), max(a, b)) for w in walks for a, b in zip(w, w[1:]))
         assert edges == sorted(map(tuple, core.old_labels[core.graph.edge_array].tolist()))
-        assert sum(c.length for c in k.chains) + sum(map(len, k.rings)) == core.graph.m
-        for c in k.chains:
-            assert all(deg[v] == 2 for v in c.inner)
+        assert k.length.tolist() == [len(mid) + 1 for mid in inner]
+        assert k.length.sum() + sum(map(len, k.rings)) == core.graph.m
+        for mid in inner:
+            assert all(deg[v] == 2 for v in mid)
         for ring in k.rings:
             assert all(deg[v] == 2 for v in ring)
             assert ring[0] == min(ring) and ring[1] < ring[-1]
@@ -493,11 +517,26 @@ def test_core_degrees_are_peeled_once_and_read_only() -> None:
 
 
 def test_cycle_cap_is_exact() -> None:
-    g = _kernel_fixtures()["subdivided K3,3"]
-    cycles = enumerate_cycles(g, g.n)
-    assert enumerate_cycles(g, g.n, cap=len(cycles)) == cycles
-    with pytest.raises(CycleBudgetError):
-        enumerate_cycles(g, g.n, cap=len(cycles) - 1)
+    sparse = _kernel_fixtures()["subdivided K3,3"]
+    # the dense graph's cycles are found over several batches of prefixes
+    for g, max_len in ((sparse, sparse.n), (gnm(50, 400, seed=(97, 50)), 4)):
+        cycles = enumerate_cycles(g, max_len)
+        assert enumerate_cycles(g, max_len, cap=len(cycles)) == cycles
+        with pytest.raises(CycleBudgetError):
+            enumerate_cycles(g, max_len, cap=len(cycles) - 1)
+
+
+def test_cycle_cap_bounds_the_memory_of_a_dense_search() -> None:
+    # expanding whole levels of path prefixes at once peaks near 4 MB here
+    g = complete_graph(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CycleBudgetError):
+            enumerate_cycles(g, 13, cap=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
 
 
 def test_long_chains_need_no_recursion() -> None:
