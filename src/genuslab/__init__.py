@@ -14,7 +14,7 @@ from .graphs import (
     enumerate_cycles,
     format_edge_list,
     giant_component,
-    giant_label,
+    giant_vertices,
     grid_graph,
     hypercube_graph,
     induced_subgraph,

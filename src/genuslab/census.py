@@ -26,7 +26,7 @@ from .graphs import (
     GraphError,
     _core_degrees,
     enumerate_cycles,
-    giant_label,
+    giant_vertices,
     induced_subgraph,
 )
 from .random_models import gnm
@@ -221,18 +221,15 @@ def supercritical_report(
         ell = max(3, math.floor(n / s))
     G = gnm(n, m, seed)
     # one peel: the giant's 2-core is the part of G's 2-core in the giant
-    labels = G.component_labels()
-    giant = giant_label(G)
-    core = induced_subgraph(
-        G, np.flatnonzero((_core_degrees(G) > 0) & (labels == giant))
-    ).graph
+    giant = giant_vertices(G)
+    core = induced_subgraph(G, giant[_core_degrees(G)[giant] > 0]).graph
     short_cycles = len(enumerate_cycles(core, ell, cap=cap))
     z_count, x = count_census_cycles(G, s, a, cap=cap)
     return SupercriticalReport(
         n=n,
         m=m,
         s=s,
-        giant_vertices=int(np.count_nonzero(labels == giant)),
+        giant_vertices=giant.size,
         core_vertices=core.n,
         core_edges=core.m,
         core_excess=core.m - core.n,

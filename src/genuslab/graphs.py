@@ -9,19 +9,22 @@ structural operations stay cheap at n around 10^6.  Graph(n, edges)
 validates and sorts its input; code that holds canonical edges already
 builds through Graph._from_canonical.
 
-Only component labels (Graph._components, behind component_count,
-component_labels and giant_component) and breadth-first search (_bfs,
-behind bfs_tree) run in scipy, through the adapter _csr_matrix; each
-imports scipy.sparse when first called.  Everything else here, the 2-core,
-kernel and cycle enumeration included, runs on numpy alone.  kernel finds
+Only component labels (Graph._components, behind component_count and
+component_labels) and breadth-first search (_bfs, behind bfs_tree) run in
+scipy, through the adapter _csr_matrix; each imports scipy.sparse when
+first called.  giant_vertices, behind giant_component, labels only the
+2-core in scipy and pushes those labels down the forest the 2-core peel
+leaves.  Everything else here, the 2-core, kernel and cycle enumeration
+included, runs on numpy alone.  kernel finds
 its chains by pointer jumping over the core darts and walks only rings
 vertex by vertex; enumerate_cycles grows path prefixes over the kernel as
 arrays, in batches of at most EXPAND_SLICE, and builds vertex tuples only
 for the cycles it finds.
 
-A Graph caches its component labels and its read-only 2-core degrees
-(_core_degrees, behind two_core, kernel and enumerate_cycles), each
-computed at most once, whichever function asks first.
+A Graph caches its component labels and the read-only result of its
+2-core peel (_peel: the core degrees behind two_core, kernel and
+enumerate_cycles, and the forest behind giant_vertices), each computed at
+most once, whichever function asks first.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class Graph:
     int32 (_index_dtype), and int64 beyond.
     """
 
-    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_core_deg")
+    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_peeled")
 
     def __init__(self, n: int, edges=()):
         n = int(n)
@@ -182,7 +185,7 @@ class Graph:
         self._indices.setflags(write=False)
         self._labels = None
         self._ncomp = None
-        self._core_deg = None
+        self._peeled = None
 
     @property
     def n(self) -> int:
@@ -312,59 +315,136 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _core_degrees(G: Graph) -> np.ndarray:
-    """Degree of each vertex in the 2-core, or 0 for a vertex outside it.
+def _peel(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(core degrees, forest) of G, read-only and cached on G, so G is
+    peeled at most once.
 
-    The array is read-only and cached on G, so G is peeled at most once.
-    Frontier peel over the CSR arrays: each round removes the live vertices
-    of degree below 2 and lowers the degrees of their live neighbours, which
-    form the next frontier when they drop below 2.  Only the darts of
-    removed vertices are read, so the whole peel is O(n + m) work; each
-    round also has a fixed cost, and a pendant path of length L takes
-    about L rounds.
+    The core degree of a vertex is its degree in the 2-core, or 0 for a
+    vertex outside it.  The forest maps every vertex to the core vertex
+    its pendant tree hangs from, or to the root of its tree component;
+    core vertices and roots map to themselves.
+
+    Leaf peel: each round removes the live vertices of degree below 2.
+    Every vertex keeps the XOR of its live neighbours' ids, so a leaf reads
+    its one live neighbour directly, and hangs from it; a vertex left with
+    no live neighbour is a root.  Two leaves that remove each other in the
+    same round form a K2, whose larger vertex hangs from the smaller.  The
+    degree and XOR updates of a round are grouped by neighbour with one
+    sort of (neighbour, leaf) keys and a reduceat, so the peel is O(n + m)
+    work plus a fixed cost per round; a pendant path of length L takes
+    about L rounds.  One pass over the rounds in reverse then resolves
+    every vertex to the end of its chain of hangs.
     """
-    if G._core_deg is not None:
-        return G._core_deg
-    ind = G._indices
+    if G._peeled is not None:
+        return G._peeled
+    n, ptr = G._n, G._indptr
     deg = G.degrees()
-    alive = deg > 0  # isolated vertices have no darts to read
+    # XOR of each neighbour list, from prefix XORs of the CSR indices
+    xor = np.zeros(ptr[-1] + 1, dtype=deg.dtype)
+    np.bitwise_xor.accumulate(G._indices, out=xor[1:])
+    xor = np.take(xor, ptr)
+    np.bitwise_xor(xor[1:], xor[:-1], out=xor[:-1])
+    xor = xor[:-1]
+    hang = np.arange(n, dtype=deg.dtype)
+    alive = deg > 0  # isolated vertices are roots already
+    # a round's leaves sort by the keys (neighbour << bits) | leaf; the XOR
+    # of a run of keys carries the XOR of its leaves in the low bits
+    bits = max(1, (n - 1).bit_length())
+    if bits > 31:
+        raise GraphError("the peel packs two vertex ids into int64 keys; n must be at most 2**31")
+    low = (1 << bits) - 1
     frontier = np.flatnonzero(deg == 1)
+    rounds = []
+    # each scratch array goes as soon as it is used: on a sparse random
+    # graph the first round holds about a third of all vertices
     while frontier.size:
+        rounds.append(frontier.astype(deg.dtype))
         alive[frontier] = False
-        heads = ind[_dart_positions(G._indptr, frontier)]
-        hit, drop = np.unique(heads[alive[heads]], return_counts=True)
-        deg[hit] -= drop
-        frontier = hit[deg[hit] < 2]
+        key = xor[frontier].astype(np.int64)
+        hang[frontier] = key
+        key <<= bits
+        key |= frontier
+        del frontier
+        key.sort()
+        up = key >> bits
+        cut = np.empty(up.size + 1, dtype=bool)
+        cut[0] = cut[-1] = True
+        np.not_equal(up[1:], up[:-1], out=cut[1:-1])
+        cut = np.flatnonzero(cut)
+        hit = up[cut[:-1]]
+        del up
+        xored = np.bitwise_xor.reduceat(key, cut[:-1]) & low
+        del key
+        left = deg[hit] - np.diff(cut).astype(deg.dtype)
+        del cut
+        deg[hit] = left
+        xor[hit] ^= xored.astype(xor.dtype)
+        # a hit left with no live neighbour is a root, or the other leaf of
+        # a K2, whose smaller vertex is the root; no live vertex hangs from
+        # it, so it leaves the peel here.  The degree and XOR of a removed
+        # vertex may change above; they are never read again
+        gone = np.flatnonzero(left == 0)
+        if gone.size:
+            gone, other = hit[gone], xored[gone]
+            pair = np.compress(~alive[gone] & (gone < other), gone)
+            hang[pair] = pair
+            alive[gone] = False
+        frontier = np.compress(left == 1, hit)
+    del xor
+    for frontier in reversed(rounds):
+        hang[frontier] = np.take(hang, np.take(hang, frontier))
+    del rounds
     deg[~alive] = 0
     deg.setflags(write=False)
-    G._core_deg = deg
-    return deg
+    hang.setflags(write=False)
+    G._peeled = deg, hang
+    return G._peeled
+
+
+def _core_degrees(G: Graph) -> np.ndarray:
+    """Degree of each vertex in the 2-core, or 0 for a vertex outside it;
+    read-only, from the peel cached on G (_peel)."""
+    return _peel(G)[0]
 
 
 def two_core(G: Graph) -> InducedSubgraph:
     """Maximal subgraph with minimum degree 2 (empty if none exists), from
-    the peel _core_degrees caches on G."""
+    the peel cached on G."""
     return induced_subgraph(G, np.flatnonzero(_core_degrees(G)))
 
 
-def giant_label(G: Graph) -> int:
-    """Component label of the largest component in G.component_labels();
-    ties broken by smallest contained vertex."""
+def giant_vertices(G: Graph) -> np.ndarray:
+    """Vertices of the largest connected component, ascending; ties broken
+    by the smallest contained vertex.
+
+    Only the 2-core is labelled, by Graph._components on two_core(G).  Each
+    core component is named by one of its core vertices and each tree
+    component by its root, and every vertex takes the name of the core
+    vertex or root the peel's forest maps it to, so labelling all of G costs
+    one gather beyond the peel.
+    """
     if G.n == 0:
         raise GraphError("empty graph has no components")
-    ncomp, labels = G._components()
-    sizes = np.bincount(labels, minlength=ncomp)
-    candidates = np.flatnonzero(sizes == sizes.max())
-    if len(candidates) == 1:
-        return int(candidates[0])
-    # first vertex with a candidate label has the smallest label overall
-    firsts = [np.argmax(labels == c) for c in candidates]
-    return int(candidates[int(np.argmin(firsts))])
+    core = two_core(G)
+    forest = _peel(G)[1]
+    labels = core.graph._components()[1]
+    _, first = np.unique(labels, return_index=True)
+    name = np.arange(G.n, dtype=forest.dtype)
+    name[core.old_labels] = core.old_labels[first][labels]
+    label = np.take(name, forest)
+    del name
+    sizes = np.bincount(label)
+    top = sizes == sizes.max()
+    winner = np.argmax(top)
+    if np.count_nonzero(top) > 1:
+        # the least vertex of a largest component names the winner
+        winner = label[np.argmax(top[label])]
+    return np.flatnonzero(label == winner)
 
 
 def giant_component(G: Graph) -> InducedSubgraph:
     """Largest connected component; ties broken by smallest contained label."""
-    return induced_subgraph(G, np.flatnonzero(G.component_labels() == giant_label(G)))
+    return induced_subgraph(G, giant_vertices(G))
 
 
 def contract_sets(G: Graph, sets) -> Graph:

@@ -8,7 +8,9 @@ is a uniform ordering, and so every prefix of length j is a G(n, j) sample.
 Pairs are encoded colexicographically as v*(v-1)/2 + u for u < v.
 
 The draw comes both in stream order and ascending, from one sort of the
-first k values when they are distinct.  Ascending codes decode to a
+first k values.  When some of them repeat, the later copies are dropped and
+replaced by the first new values after them, so only a draw that runs out
+of those pays an argsort of the whole buffer.  Ascending codes decode to a
 canonical edge array, so gnm, gnp and add_uniform_edges build their Graph
 from it directly (Graph._from_canonical), without the validating
 constructor's second sort.
@@ -36,8 +38,24 @@ def _ordered_distinct(N: int, k: int, rng: np.random.Generator) -> tuple[np.ndar
     size = k + max(16, k // 8)
     buf = rng.integers(0, N, size=size, dtype=np.int64)
     head = np.sort(buf[:k])
-    if not (head[1:] == head[:-1]).any():
+    repeat = head[1:] == head[:-1]
+    if not repeat.any():
         return buf[:k], head  # the first k draws are distinct
+    # repair: drop the later copies of each value repeated in the head and
+    # fill their places with the first new values after it, looked for in a
+    # short stretch of the rest of the buffer
+    at = np.flatnonzero(np.isin(buf[:k], head[1:][repeat]))
+    _, first = np.unique(buf[at], return_index=True)
+    later = np.delete(at, first)
+    rest = buf[k:k + 4 * later.size + 64]
+    fresh = rest[head[np.minimum(np.searchsorted(head, rest), k - 1)] != rest]
+    _, seen = np.unique(fresh, return_index=True)
+    if seen.size >= later.size:
+        add = fresh[np.sort(seen)[:later.size]]
+        distinct = head[np.concatenate(([True], ~repeat))]
+        added = np.sort(add)
+        return (np.concatenate([np.delete(buf[:k], later), add]),
+                np.insert(distinct, np.searchsorted(distinct, added), added))
     while True:
         # first stream position of each distinct value: the least position
         # in each run of equal values after an (unstable) argsort

@@ -187,6 +187,24 @@ def test_supercritical_report_in_window() -> None:
             assert all_cores.graph.component_count > 1
 
 
+def test_supercritical_report_labels_only_the_core(monkeypatch) -> None:
+    # the giant comes from the 2-core peel; scipy labels the core alone
+    labelled = []
+    components = Graph._components
+
+    def recording(self):
+        labelled.append(self.n)
+        return components(self)
+
+    monkeypatch.setattr(Graph, "_components", recording)
+    for seed in (17, 23):
+        rep = supercritical_report(3000, 500, seed=seed)
+        assert 3000 not in labelled
+        assert 0 < max(labelled) < 3000
+        assert rep.core_vertices in labelled
+        labelled.clear()
+
+
 def test_supercritical_report_warns_outside_window() -> None:
     with pytest.warns(UserWarning):
         rep = supercritical_report(3000, 100, seed=17)

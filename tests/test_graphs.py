@@ -19,6 +19,7 @@ from genuslab import (
     enumerate_cycles,
     format_edge_list,
     giant_component,
+    giant_vertices,
     gnm,
     grid_graph,
     hypercube_graph,
@@ -31,7 +32,7 @@ from genuslab import (
 )
 from genuslab.census import classify_cycle_neighborhood
 from genuslab.corpus import census_showcase, named_fixtures
-from genuslab.graphs import _core_degrees, _index_dtype
+from genuslab.graphs import _core_degrees, _index_dtype, _peel
 from brute_force import brute_cycles, dfs_cycles, same_csr
 
 
@@ -222,6 +223,77 @@ def test_giant_component_examples() -> None:
 def test_giant_component_tie_breaks_by_label() -> None:
     g = Graph(6, [(3, 4), (4, 5), (3, 5), (0, 1), (1, 2), (0, 2)])
     assert list(giant_component(g).old_labels) == [0, 1, 2]
+
+
+def _check_peel_against_networkx(g: Graph, name) -> None:
+    """Core degrees, forest and giant of g against networkx's k_core and
+    connected_components (largest component, least vertex on ties)."""
+    import networkx as nx
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edge_list())
+    deg, forest = _peel(g)
+    kcore = nx.k_core(nxg, 2)
+    want = np.zeros(g.n, dtype=np.int64)
+    for v, d in kcore.degree():
+        want[v] = d
+    assert np.array_equal(deg, want), name
+    assert not deg.flags.writeable and not forest.flags.writeable, name
+    for comp in nx.connected_components(nxg):
+        members = sorted(comp)
+        cores = [v for v in members if deg[v]]
+        if not cores:
+            # a tree component: every vertex maps to one root inside it
+            assert len({int(forest[v]) for v in members}) == 1, name
+            assert forest[members[0]] in comp, name
+            continue
+        for v in members:
+            owner = int(forest[v])
+            if deg[v]:
+                assert owner == v, name
+                continue
+            # v's pendant tree meets the core only at its owner
+            assert deg[owner] > 0, name
+            outside = nxg.subgraph([u for u in members if not deg[u]] + [owner])
+            assert nx.has_path(outside, v, owner), name
+    if g.n == 0:
+        with pytest.raises(GraphError):
+            giant_vertices(g)
+        return
+    comps = sorted((sorted(c) for c in nx.connected_components(nxg)),
+                   key=lambda c: (-len(c), c[0]))
+    assert giant_vertices(g).tolist() == comps[0], name
+    assert giant_component(g).old_labels.tolist() == comps[0], name
+
+
+def test_peel_forest_and_giant_match_networkx() -> None:
+    cases = {}
+    # across the critical window m = n/2 + s, |s| up to n/4
+    for n in (40, 300, 2000):
+        window = round(n ** (2 / 3))
+        for s in (-n // 4, -window, 0, window, n // 4):
+            for seed in range(3):
+                cases[("gnm", n, s, seed)] = gnm(n, n // 2 + s, seed=(131, n, s + n, seed))
+    cases["empty"] = Graph(0)
+    cases["isolated"] = Graph(5)
+    cases["forest, empty core"] = Graph(12, [(0, 5), (5, 3), (3, 7), (7, 1), (2, 9), (9, 11), (9, 4)])
+    # a 10-path larger than the triangle beside it, which holds the core
+    cases["path beside triangle"] = Graph(
+        13, [(i, i + 1) for i in range(3, 12)] + [(0, 1), (1, 2), (0, 2)])
+    # K2 components: two leaves remove each other in the first round
+    cases["K2s"] = Graph(9, [(0, 7), (1, 2), (5, 3), (4, 8)])
+    # K2s reached in later rounds: even paths peel to their middle edge
+    cases["even paths"] = Graph(14, [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 13)])
+    cases["tied components"] = Graph(
+        12, [(6, 7), (7, 8), (1, 4), (4, 9), (2, 3), (3, 5), (5, 2), (0, 10)])
+    cases["tied trees"] = Graph(8, [(5, 6), (6, 7), (1, 2), (2, 3)])
+    cases["grid"] = grid_graph(7, 9)
+    cases["hypercube"] = hypercube_graph(5)
+    cases["cycle with pendant paths"] = Graph(
+        12, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8), (8, 9), (7, 10), (1, 11)])
+    for name, g in cases.items():
+        _check_peel_against_networkx(g, name)
 
 
 def test_induced_subgraph_relabels() -> None:

@@ -89,6 +89,39 @@ def test_ordered_distinct_matches_a_stream_scan() -> None:
             assert seen == {"distinct"}, (N, k)
 
 
+def _first_distinct(N, k, rng):
+    """The argsort path alone: each value's first position in the stream,
+    the buffer refilled as _ordered_distinct refills it."""
+    buf = rng.integers(0, N, size=k + max(16, k // 8), dtype=np.int64)
+    while True:
+        values, first = np.unique(buf, return_index=True)
+        if values.size >= k:
+            ordered = buf[np.sort(first)[:k]]
+            return ordered, np.sort(ordered)
+        extra = max(len(buf), 4 * (k - values.size) + 64)
+        buf = np.concatenate([buf, rng.integers(0, N, size=extra, dtype=np.int64)])
+
+
+def test_repaired_draws_match_the_argsort_path() -> None:
+    # bench seeds whose first m draws of G(10^6, 531623) repeat a value
+    N, k = 10**6 * (10**6 - 1) // 2, 531_623
+    for seed in (433181378, 332849872, 231221592, 1845889638):
+        head = np.random.default_rng(seed).integers(0, N, size=k, dtype=np.int64)
+        assert np.unique(head).size < k, seed
+        ordered, ascending = _ordered_distinct(N, k, np.random.default_rng(seed))
+        expect_ordered, expect_ascending = _first_distinct(N, k, np.random.default_rng(seed))
+        assert np.array_equal(ordered, expect_ordered), seed
+        assert np.array_equal(ascending, expect_ascending), seed
+    # small N, where repeats are dense and the repair often runs out
+    for N in (2, 7, 45, 190, 1000):
+        for k in sorted({1, N // 3, N // 2, N - 1, N}):
+            for seed in range(20):
+                got = _ordered_distinct(N, k, np.random.default_rng(seed))
+                expect = _first_distinct(N, k, np.random.default_rng(seed))
+                assert np.array_equal(got[0], expect[0]), (N, k, seed)
+                assert np.array_equal(got[1], expect[1]), (N, k, seed)
+
+
 def test_canonical_builds_match_the_validating_constructor() -> None:
     # gnm, gnp and add_uniform_edges build their CSR from sorted draws with
     # no checks; Graph() validates, normalises and sorts the same edges
