@@ -7,11 +7,20 @@ any genus lower bound certified for the quotient transfers to the whole.
 The quotient of a sublinear number of random edges is already a uniform
 random graph dense enough to have genus proportional to its size, which is
 what makes the genus of bounded-degree graphs fragile under perturbation.
+
+The pieces and cores depend only on the base graph, l and Delta, so
+fragile_experiment computes them once per (l, Delta) and caches them on the
+base Graph; the trials of a run that share a base graph decompose it once
+and then only draw pairs, contract them and bound the quotient.  The
+contraction maps the drawn pairs through the decomposition's core-owner
+array (PieceDecomposition.owner) with one gather and one np.unique, the
+same code contract_sets runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -22,7 +31,7 @@ from .embeddings import (
     genus_upper_bound,
     perturbation_upper_bound,
 )
-from .graphs import Graph, _as_edge_array, _bfs, _contract_edges, bfs_tree
+from .graphs import Graph, _as_edge_array, _bfs, _contract_pairs, _owner_array, bfs_tree
 from .random_models import uniform_pairs
 
 
@@ -54,6 +63,14 @@ class PieceDecomposition:
     def s(self) -> int:
         return min(len(p) for p in self.pieces)
 
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Read-only map from each vertex to the index of its core, or -1
+        outside every core, built once per decomposition.  Its last entry
+        is -1 and lies past the largest core vertex, so it also stands for
+        every vertex beyond.  Not a field: == and hash ignore it."""
+        return _owner_array(self.cores)
+
 
 @dataclass(frozen=True)
 class FragileReport:
@@ -66,6 +83,9 @@ class FragileReport:
     reported as 0) it is the density bound, genus_lower_bound_density, of
     the graph of random edges alone (a subgraph).
     upper_bound is the base graph's genus bound plus one per added edge.
+    t and s come from the cored decomposition of the base graph for
+    (l, Delta), which is cached on the base Graph, so trials on one base
+    graph report the same t and s without decomposing it again.
     good_edge_count, the number of added edges that join a new pair of
     cores, always equals gamma_edges.  The report echoes n, k and Delta but
     not the seed, which may be a Generator; the fragile command adds its own
@@ -220,9 +240,7 @@ def build_quotient(d: PieceDecomposition, edges) -> Graph:
     """
     if not d.cores:
         raise DecompositionError("cores have not been selected")
-    pairs = _as_edge_array(edges)
-    n = 1 + max(int(pairs.max(initial=0)), max(max(core) for core in d.cores))
-    return _contract_edges(n, pairs, d.cores)
+    return _contract_pairs(d.owner, len(d.cores), _as_edge_array(edges))
 
 
 def count_good_edges(d: PieceDecomposition, edges_in_order) -> int:
@@ -235,20 +253,45 @@ def count_good_edges(d: PieceDecomposition, edges_in_order) -> int:
     return build_quotient(d, edges_in_order).m
 
 
+def _cored_decomposition(H: Graph, l: int, Delta: int) -> PieceDecomposition:
+    """select_cores(H, decompose_into_pieces(H, l, Delta)), cached on H per
+    (l, Delta).
+
+    The piece count is checked against its guaranteed interval
+    (n - l*Delta)/(l*Delta^2) <= t <= n/(l*Delta) before the result is
+    cached, so a base that fails raises on every call and leaves nothing
+    in the cache.
+    """
+    d = (H._cored or {}).get((l, Delta))
+    if d is None:
+        d = select_cores(H, decompose_into_pieces(H, l, Delta))
+        lo_t = (H.n - l * Delta) / (l * Delta**2)
+        hi_t = H.n / (l * Delta)
+        if not (lo_t <= d.t <= hi_t):
+            raise DecompositionError(
+                f"piece count {d.t} escaped its guaranteed interval "
+                f"[{lo_t:.2f}, {hi_t:.2f}]"
+            )
+        if H._cored is None:
+            H._cored = {}
+        H._cored[(l, Delta)] = d
+    return d
+
+
 def fragile_experiment(
     H: Graph, Delta: int, k: int, seed=None, ell: int = 3
 ) -> FragileReport:
     """Perturb H with k uniform random pairs and certify genus bounds.
 
-    Sets l = ceil(3*Delta*n/k), decomposes H, selects cores, draws the
-    random pairs, and lower-bounds the genus of the perturbed graph by the
-    short-cycle Euler bound (census length ell) on the core quotient.
+    Sets l = ceil(3*Delta*n/k), draws the random pairs, takes the cores of
+    H for (l, Delta) (_cored_decomposition, computed on the first call
+    for H and then read from H), and lower-bounds the genus of the
+    perturbed graph by the short-cycle Euler bound (census length ell) on
+    the core quotient.
     When k >= 6n the random edges are dense enough on their own:
     decomposition is bypassed and the lower bound is the density bound of
     the random-edge graph (every face of length at least 3, summed over
     its components).
-    The piece count is checked against its guaranteed interval
-    (n - l*Delta)/(l*Delta^2) <= t <= n/(l*Delta).
     """
     _check_base(H, Delta)
     if k < 1:
@@ -264,14 +307,7 @@ def fragile_experiment(
             genus_lower_gamma=genus_lower_bound_density(Graph(n, added)),
             upper_bound=upper,
         )
-    d = select_cores(H, decompose_into_pieces(H, l, Delta))
-    lo_t = (n - l * Delta) / (l * Delta**2)
-    hi_t = n / (l * Delta)
-    if not (lo_t <= d.t <= hi_t):
-        raise DecompositionError(
-            f"piece count {d.t} escaped its guaranteed interval "
-            f"[{lo_t:.2f}, {hi_t:.2f}]"
-        )
+    d = _cored_decomposition(H, l, Delta)
     gamma = build_quotient(d, added)
     return FragileReport(
         n=n, k=k, Delta=Delta, l=l, t=d.t, s=d.s,

@@ -24,7 +24,14 @@ for the cycles it finds.
 A Graph caches its component labels and the read-only result of its
 2-core peel (_peel: the core degrees behind two_core, kernel and
 enumerate_cycles, and the forest behind giant_vertices), each computed at
-most once, whichever function asks first.
+most once, whichever function asks first.  It also holds, in _cored, the
+cored piece decompositions that fragile.fragile_experiment computed for it
+as a base graph, one per (l, Delta).  A Graph is immutable, so no cache is
+ever invalidated, and none takes part in == or hash.
+
+contract_sets and fragile.build_quotient share one contraction: an owner
+array maps each vertex to its set (_owner_array), and _contract_pairs maps
+the pairs through it with one gather and one np.unique.
 """
 
 from __future__ import annotations
@@ -129,7 +136,7 @@ class Graph:
     int32 (_index_dtype), and int64 beyond.
     """
 
-    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_peeled")
+    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_peeled", "_cored")
 
     def __init__(self, n: int, edges=()):
         n = int(n)
@@ -186,6 +193,7 @@ class Graph:
         self._labels = None
         self._ncomp = None
         self._peeled = None
+        self._cored = None
 
     @property
     def n(self) -> int:
@@ -455,31 +463,53 @@ def contract_sets(G: Graph, sets) -> Graph:
     collapse, so the result is a simple graph on len(sets) vertices.  When
     each set induces a connected subgraph, the result is a minor of G.
     """
-    return _contract_edges(G.n, G.edge_array, sets)
+    sets = list(sets)
+    return _contract_pairs(_owner_array(sets, G.n), len(sets), G.edge_array)
 
 
-def _contract_edges(n: int, edges: np.ndarray, sets) -> Graph:
-    """contract_sets of the graph on 0..n-1 whose edges are the (k, 2) array
-    edges, which may repeat a pair or list it in either orientation."""
-    part = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for i, s in enumerate(sets):
-        members = np.asarray(list(s) if not isinstance(s, np.ndarray) else s, dtype=np.int64)
-        if members.size == 0:
-            raise GraphError("contraction sets must be nonempty")
-        if members.min() < 0 or members.max() >= n:
-            raise GraphError("vertex out of range")
-        if (part[members] >= 0).any():
-            raise GraphError("contraction sets must be disjoint")
-        part[members] = i
-        count = i + 1
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
+def _owner_array(sets, n: int | None = None) -> np.ndarray:
+    """Read-only map from each vertex 0..n-1 to the index of the set holding
+    it, or -1 for a vertex in none, followed by one more -1 that stands for
+    every vertex beyond n - 1 (see _contract_pairs).  n defaults to one past
+    the largest member.
+
+    The sets are concatenated once; a vertex counted twice means two sets
+    overlap.  Raises GraphError for an empty set, a member outside 0..n-1,
+    or overlapping sets.
+    """
+    members = [s if isinstance(s, np.ndarray) else list(s) for s in sets]
+    sizes = np.array([len(s) for s in members], dtype=np.int64)
+    if (sizes == 0).any():
+        raise GraphError("contraction sets must be nonempty")
+    flat = np.concatenate(members, dtype=np.int64) if members else np.zeros(0, dtype=np.int64)
+    if n is None:
+        n = int(flat.max(initial=-1)) + 1
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        raise GraphError("vertex out of range")
+    if np.bincount(flat, minlength=n).max(initial=0) > 1:
+        raise GraphError("contraction sets must be disjoint")
+    owner = np.full(n + 1, -1, dtype=np.int64)
+    owner[flat] = np.repeat(np.arange(len(members)), sizes)
+    owner.setflags(write=False)
+    return owner
+
+
+def _contract_pairs(owner: np.ndarray, count: int, edges: np.ndarray) -> Graph:
+    """Graph on 0..count-1 joining owner[u] and owner[v] for every row
+    (u, v) of the (k, 2) array edges whose ends lie in two different sets.
+
+    owner is an _owner_array, whose last entry -1 is read for every vertex
+    at or beyond it, so edges may reach past the last set member; they may
+    also repeat a pair or list it in either orientation.  One gather maps
+    the pairs to set indices and one np.unique of their colex codes drops
+    the repeats.
+    """
+    if edges.size and edges.min() < 0:
         raise GraphError("edge endpoint out of range")
-    a = part[edges[:, 0]]
-    b = part[edges[:, 1]]
-    keep = (a >= 0) & (b >= 0) & (a != b)
-    a, b = a[keep], b[keep]
-    codes = np.unique(_encode_pairs(np.minimum(a, b), np.maximum(a, b)))
+    ends = np.take(owner, edges, mode="clip")
+    ends.sort(axis=1)
+    ends = ends[(ends[:, 0] >= 0) & (ends[:, 0] != ends[:, 1])]
+    codes = np.unique(_encode_pairs(ends[:, 0], ends[:, 1]))
     return Graph._from_canonical(count, _decode_pairs(codes))
 
 

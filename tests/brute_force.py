@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from genuslab import CycleBudgetError, Graph
+from genuslab import CycleBudgetError, Graph, GraphError
 from genuslab.fragile import DecompositionError, PieceDecomposition, _check_base
 
 
@@ -302,6 +302,37 @@ def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
                         break
         cores.append(tuple(sorted(taken[:s])))
     return PieceDecomposition(l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores))
+
+
+def contract_reference(sets, pairs, n: int | None = None) -> tuple[int, list[tuple[int, int]]]:
+    """contract_sets and build_quotient by a dict from each vertex to its
+    set and a Python set of index pairs: (number of sets, sorted edges).
+
+    With n given every member must lie in 0..n-1, as in contract_sets;
+    without it any nonnegative vertex may be a member, and a pair may
+    reach past every set, as in build_quotient.  Raises GraphError for an
+    empty set, a member out of range, a vertex in two sets, or a pair with
+    a negative end.
+    """
+    owner: dict[int, int] = {}
+    sets = [list(s) for s in sets]
+    for i, members in enumerate(sets):
+        if not members:
+            raise GraphError("empty set")
+        for v in members:
+            if v < 0 or (n is not None and v >= n):
+                raise GraphError("member out of range")
+            if v in owner:
+                raise GraphError("overlapping sets")
+            owner[v] = i
+    edges: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        if u < 0 or v < 0:
+            raise GraphError("negative pair end")
+        a, b = owner.get(u), owner.get(v)
+        if a is not None and b is not None and a != b:
+            edges.add((min(a, b), max(a, b)))
+    return len(sets), sorted(edges)
 
 
 # Reference for genuslab._genus_search.search_block: the same search, but it

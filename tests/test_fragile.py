@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from genuslab import (
     DecompositionError,
     Graph,
     GraphError,
+    PieceDecomposition,
     add_uniform_edges,
     build_quotient,
     contract_sets,
@@ -25,8 +29,9 @@ from genuslab import (
     trial_rng,
     uniform_pairs,
 )
+from genuslab import fragile
 from genuslab.corpus import amplification_showcase
-from brute_force import bfs_cores, bfs_pieces, nx_density_bound
+from brute_force import bfs_cores, bfs_pieces, contract_reference, nx_density_bound
 
 
 def _random_bounded_tree(n: int, max_degree: int, rng) -> Graph:
@@ -54,11 +59,52 @@ def test_showcase_quotient_and_good_edges() -> None:
         build_quotient(d, [(-1, 0)])
 
 
-def test_quotient_matches_the_contraction_route() -> None:
+def _agrees_with_reference(run, reference) -> None:
+    """run() and reference() both raise GraphError, or give the same
+    vertex count and edges."""
+    try:
+        want = reference()
+    except GraphError:
+        with pytest.raises(GraphError):
+            run()
+        return
+    got = run()
+    assert (got.n, sorted(got.edge_list())) == want
+
+
+def test_contraction_matches_the_reference() -> None:
     h, d, extra = amplification_showcase()
-    pairs = sorted({tuple(sorted(p)) for p in extra})
-    overlay = Graph(h.n, pairs)
-    assert build_quotient(d, extra) == contract_sets(overlay, d.cores)
+    _agrees_with_reference(lambda: build_quotient(d, extra), lambda: contract_reference(d.cores, extra))
+    rng = trial_rng(426, 0)
+    for trial in range(300):
+        n = int(rng.integers(1, 30))
+        # disjoint sets, singletons among them, leaving some vertices out
+        chosen = rng.permutation(n)[: int(rng.integers(n // 2, n + 1))].tolist()
+        cuts = sorted(rng.choice(np.arange(1, len(chosen)), size=min(len(chosen) - 1, int(rng.integers(1, 9))),
+                                 replace=False).tolist()) if len(chosen) > 1 else []
+        sets = [tuple(chosen[a:b]) for a, b in zip([0] + cuts, cuts + [len(chosen)]) if b > a]
+        # pairs past the last member, loops, repeats and both orientations
+        pairs = rng.integers(0, n + 4, size=(int(rng.integers(0, 60)), 2)).tolist()
+        pairs += [(v, u) for u, v in pairs[::3]] + pairs[::4]
+        fault = trial % 15
+        if fault == 1 and sets:
+            sets.append(())
+        elif fault == 2 and sets:
+            sets.append((sets[0][0],))
+        elif fault == 3:
+            sets.append((n + int(rng.integers(0, 3)),))
+        elif fault == 4:
+            sets.append((-1,))
+        elif fault == 5:
+            pairs.append((int(rng.integers(0, n)), -1))
+        simple = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v and 0 <= min(u, v) and max(u, v) < n})
+        g = Graph(n, simple)
+        _agrees_with_reference(lambda: contract_sets(g, sets), lambda: contract_reference(sets, simple, n))
+        if sets:
+            cored = PieceDecomposition(l=1, Delta=1, pieces=tuple(sets), cores=tuple(sets))
+            _agrees_with_reference(lambda: build_quotient(cored, pairs), lambda: contract_reference(sets, pairs))
+    with pytest.raises(DecompositionError):
+        build_quotient(PieceDecomposition(l=1, Delta=1, pieces=((0,),), cores=()), [(0, 1)])
 
 
 def test_decompose_long_path() -> None:
@@ -216,3 +262,61 @@ def test_fragile_experiment_validates_base() -> None:
         fragile_experiment(Graph(6, [(0, 1), (2, 3), (4, 5)]), 2, 3, seed=0)
     with pytest.raises(DecompositionError):
         fragile_experiment(path_graph(10), 1, 3, seed=0)
+
+
+def test_cores_are_decomposed_once_per_base_l_and_delta(monkeypatch) -> None:
+    # k = 100, 250, 400 give l = 180, 72, 45 at Delta = 2, and l = 270 at Delta = 3
+    runs = [(2, 100), (2, 250), (2, 100), (3, 100), (2, 400), (2, 250), (3, 100), (2, 100)]
+    h = path_graph(3000)
+    fresh = [fragile_experiment(Graph(h.n, h.edge_array), delta, k, seed=(9, i))
+             for i, (delta, k) in enumerate(runs)]
+    calls = Counter()
+    decompose = fragile.decompose_into_pieces
+
+    def counted(H, l, Delta):
+        calls[l, Delta] += 1
+        return decompose(H, l, Delta)
+
+    monkeypatch.setattr(fragile, "decompose_into_pieces", counted)
+    got = [fragile_experiment(h, delta, k, seed=(9, i)) for i, (delta, k) in enumerate(runs)]
+    assert got == fresh
+    assert calls == {(180, 2): 1, (72, 2): 1, (45, 2): 1, (270, 3): 1}
+    assert set(h._cored) == set(calls)
+
+
+def test_a_failing_base_raises_every_time_and_caches_nothing(monkeypatch) -> None:
+    star = Graph(5, [(0, v) for v in range(1, 5)])
+    for _ in range(2):
+        with pytest.raises(DecompositionError, match="star"):
+            fragile_experiment(star, 3, 2, seed=0)
+    assert star._cored is None
+    decompose = fragile.decompose_into_pieces
+    calls = []
+
+    def one_piece(H, l, Delta):
+        calls.append(l)
+        d = decompose(H, l, Delta)
+        return dataclasses.replace(d, pieces=d.pieces[:1])
+
+    monkeypatch.setattr(fragile, "decompose_into_pieces", one_piece)
+    h = path_graph(3000)
+    for _ in range(2):
+        with pytest.raises(DecompositionError, match="interval"):
+            fragile_experiment(h, 2, 100, seed=0)
+    assert calls == [180, 180]
+    assert h._cored is None
+
+
+def test_equality_and_hash_ignore_the_caches() -> None:
+    h = path_graph(3000)
+    twin = Graph(h.n, h.edge_array)
+    before = hash(h)
+    fragile_experiment(h, 2, 100, seed=1)
+    assert h._cored and twin._cored is None
+    assert h == twin
+    assert hash(h) == hash(twin) == before
+    d = select_cores(h, decompose_into_pieces(h, 180, 2))
+    assert d.owner[list(d.cores[0])].tolist() == [0] * d.s
+    assert d == h._cored[180, 2]
+    assert hash(d) == hash(h._cored[180, 2])
+    assert not d.owner.flags.writeable
