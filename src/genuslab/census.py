@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import genus_lower_bound_from_cycle_count, genus_upper_bound
+from .embeddings import _euler_lower, _rank_upper
 from .graphs import (
     CYCLE_CAP,
     Graph,
     GraphError,
     _core_degrees,
+    _peel,
     enumerate_cycles,
     giant_vertices,
-    induced_subgraph,
 )
 from .random_models import gnm
 
@@ -69,8 +69,10 @@ def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
     exactly one edge roots a once-attached tree exactly when w is outside
     the 2-core: a cycle in w's component of G - cycle, or a second edge
     from that component back to the cycle, would put w on a cycle or on a
-    path between two cycles.  Membership is read from the 2-core degrees
-    cached on G, and only the leaf trees themselves are walked.
+    path between two cycles.  Those trees are the pendant trees of the
+    cycle's vertices, so leaf_size is the sum of their pendant-tree sizes.
+    Both membership and sizes are read from the peel cached on G (_peel),
+    and no tree is walked.
     """
     cyc = [int(v) for v in cycle]
     k = len(cyc)
@@ -89,27 +91,16 @@ def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
         for w in G.neighbors(v).tolist():
             if w not in on_cycle:
                 attach[w] = attach.get(w, 0) + 1
-    once = np.array([w for w, c in attach.items() if c == 1], dtype=np.int64)
-    in_core = _core_degrees(G)[once] > 0
-
-    leaf_size = 0
-    for root in once[~in_core].tolist():
-        # walk the pendant tree below root, never stepping back onto the cycle
-        stack = [(root, -1)]
-        while stack:
-            u, up = stack.pop()
-            leaf_size += 1
-            stack.extend((x, u) for x in G.neighbors(u).tolist()
-                         if x != up and x not in on_cycle)
-    good = int(in_core.sum())
-    tree_components = len(once) - good
-    bad = len(attach) - len(once)
+    once = [w for w, c in attach.items() if c == 1]
+    deg, _, owned = _peel(G)
+    good = int(np.count_nonzero(deg[once]))
     return CycleNeighborhood(
         cycle=tuple(cyc),
-        leaf_size=leaf_size,
+        # each cycle vertex owns itself and its pendant trees
+        leaf_size=int(owned[cyc].sum()) - k,
         good=good,
-        bad=bad,
-        tree_components=tree_components,
+        bad=len(attach) - len(once),
+        tree_components=len(once) - good,
     )
 
 
@@ -126,19 +117,31 @@ def count_census_cycles(
       - it has no bad neighbours.
 
     Cycles are enumerated and classified in G itself; both steps read the
-    2-core cached on G, so G is peeled at most once.  The count is
+    peel cached on G, so G is peeled at most once.  The count is
     non-decreasing in i for a fixed graph.
     """
-    n = G.n
+    length = _census_length(G.n, s, i)
+    return _census(G, s, enumerate_cycles(G, length, cap=cap))
+
+
+def _census_length(n: int, s: int, i: float) -> int:
+    """floor(i*n/s), the longest cycle the census with parameter i counts."""
     if s <= 0:
         raise ValueError("s must be positive")
     if i < 0:
         raise ValueError("i must be nonnegative")
+    return math.floor(i * n / s)
+
+
+def _census(G: Graph, s: int, cycles) -> tuple[int, float]:
+    """(count, x) of count_census_cycles over the given cycles of G, which
+    the caller has cut to the census length."""
+    n = G.n
     x = 0.05 * math.log(s**3 / n**2)
     leaf_cap = x * n * n / (s * s)
     good_cap = x * n / s
     count = 0
-    for cyc in enumerate_cycles(G, math.floor(i * n / s), cap=cap):
+    for cyc in cycles:
         stats = classify_cycle_neighborhood(G, cyc)
         if (
             stats.bad == 0
@@ -202,6 +205,16 @@ def supercritical_report(
     genus lower bound on the core; a is the census parameter (default
     0.5 * ln(s^3/n^2), a slowly growing choice).  Outside n^(2/3) < s < n/2
     the regime assumptions are off and a warning is issued.
+
+    G is peeled once and its cycles are enumerated once, up to the longer
+    of ell and the census length L = floor(a*n/s).  short_cycle_count
+    counts the cycles of length at most ell that lie in the giant, and the
+    census classifies those of length at most L.  The giant's 2-core is
+    never built: its vertex and edge counts come from the cached core
+    degrees, and, being connected, it has one component when non-empty.
+    With cap, CycleBudgetError rises when G has more than cap cycles of
+    length at most max(ell, L); for ell > L that includes cycles outside
+    the giant with length in (L, ell], which no field counts.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -219,24 +232,30 @@ def supercritical_report(
         a = max(0.0, 0.5 * math.log(s**3 / n**2))
     if ell is None:
         ell = max(3, math.floor(n / s))
+    length = _census_length(n, s, a)
     G = gnm(n, m, seed)
-    # one peel: the giant's 2-core is the part of G's 2-core in the giant
     giant = giant_vertices(G)
-    core = induced_subgraph(G, giant[_core_degrees(G)[giant] > 0]).graph
-    short_cycles = len(enumerate_cycles(core, ell, cap=cap))
-    z_count, x = count_census_cycles(G, s, a, cap=cap)
+    deg = _core_degrees(G)[giant]
+    core_n = int(np.count_nonzero(deg))
+    core_m = int(deg.sum()) // 2
+    kappa = 1 if core_n else 0
+    cycles = enumerate_cycles(G, max(ell, length), cap=cap)
+    first = np.array([c[0] for c in cycles if len(c) <= ell], dtype=np.int64)
+    at = np.minimum(np.searchsorted(giant, first), giant.size - 1)
+    short_cycles = int(np.count_nonzero(giant[at] == first))
+    z_count, x = _census(G, s, [c for c in cycles if len(c) <= length])
     return SupercriticalReport(
         n=n,
         m=m,
         s=s,
         giant_vertices=giant.size,
-        core_vertices=core.n,
-        core_edges=core.m,
-        core_excess=core.m - core.n,
+        core_vertices=core_n,
+        core_edges=core_m,
+        core_excess=core_m - core_n,
         short_cycle_count=short_cycles,
         census_cycle_count=z_count,
         census_threshold=x,
-        genus_lower=genus_lower_bound_from_cycle_count(core, ell, short_cycles),
-        genus_upper=genus_upper_bound(core),
+        genus_lower=_euler_lower(core_n, core_m, kappa, ell, short_cycles),
+        genus_upper=_rank_upper(core_n, core_m, kappa),
         predicted=predicted_genus(n, s),
     )

@@ -128,9 +128,13 @@ def genus_upper_bound(graph: Graph) -> int:
     Follows from the Euler formula since every embedding of a graph with an
     edge has at least one face.
     """
-    if graph.n == 0:
-        return 0
-    return max(0, (graph.m - graph.n + graph.component_count) // 2)
+    return _rank_upper(graph.n, graph.m, graph.component_count)
+
+
+def _rank_upper(n: int, m: int, kappa: int) -> int:
+    """The cycle-rank bound of genus_upper_bound, for n vertices, m edges
+    and kappa components."""
+    return max(0, (m - n + kappa) // 2)
 
 
 def genus_lower_bound_short_cycles(
@@ -164,6 +168,8 @@ def _euler_lower(n, m, kappa, ell: int, short=0):
     lower bound in genuslab is this one.  Exact integer arithmetic,
     elementwise on integer arrays; Python ints give a Python int.
     """
+    if ell < 2:
+        raise ValueError("the short-cycle length must be at least 2")
     rank = m - n + kappa
     num = (rank + 1) * (ell + 1) - 2 * m - 2 * short * (ell - 2)
     lower = -((-num) // (2 * (ell + 1)))
@@ -175,10 +181,7 @@ def genus_lower_bound_from_cycle_count(
 ) -> int:
     """The bound of genus_lower_bound_short_cycles, given the number short
     of cycles of length at most max_cycle_length in graph."""
-    ell = int(max_cycle_length)
-    if ell < 2:
-        raise ValueError("max_cycle_length must be at least 2")
-    return _euler_lower(graph.n, graph.m, graph.component_count, ell, short)
+    return _euler_lower(graph.n, graph.m, graph.component_count, int(max_cycle_length), short)
 
 
 def genus_lower_bound_density(graph: Graph) -> int:

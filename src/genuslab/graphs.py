@@ -13,21 +13,25 @@ Only component labels (Graph._components, behind component_count and
 component_labels) and breadth-first search (_bfs, behind bfs_tree) run in
 scipy, through the adapter _csr_matrix; each imports scipy.sparse when
 first called.  giant_vertices, behind giant_component, labels only the
-2-core in scipy and pushes those labels down the forest the 2-core peel
-leaves.  Everything else here, the 2-core, kernel and cycle enumeration
-included, runs on numpy alone.  kernel finds
-its chains by pointer jumping over the core darts and walks only rings
-vertex by vertex; enumerate_cycles grows path prefixes over the kernel as
-arrays, in batches of at most EXPAND_SLICE, and builds vertex tuples only
-for the cycles it finds.
+2-core in scipy and sizes each component by the vertices the 2-core peel's
+forest maps to it.  Everything else here, the 2-core, kernel and cycle
+enumeration included, runs on numpy alone.  induced_subgraph and kernel
+relabel dart heads by a gather from one n-long map in the CSR index dtype.
+kernel pairs each core dart with its reverse by inverting one argsort,
+finds its chains by pointer jumping over the core darts and walks only
+rings vertex by vertex; enumerate_cycles grows path prefixes over the
+kernel as arrays, in batches of at most EXPAND_SLICE, and builds vertex
+tuples only for the cycles it finds.
 
 A Graph caches its component labels and the read-only result of its
 2-core peel (_peel: the core degrees behind two_core, kernel and
-enumerate_cycles, and the forest behind giant_vertices), each computed at
-most once, whichever function asks first.  It also holds, in _cored, the
-cored piece decompositions that fragile.fragile_experiment computed for it
-as a base graph, one per (l, Delta).  A Graph is immutable, so no cache is
-ever invalidated, and none takes part in == or hash.
+enumerate_cycles, the forest, and the count of vertices the forest maps
+to each vertex, behind giant_vertices and the cycle census), each
+computed at most once, whichever function asks first.  It also holds, in
+_cored, the cored piece decompositions that fragile.fragile_experiment
+computed for it as a base graph, one per (l, Delta).  A Graph is
+immutable, so no cache is ever invalidated, and none takes part in == or
+hash.
 
 contract_sets and fragile.build_quotient share one contraction: an owner
 array maps each vertex to its set (_owner_array), and _contract_pairs maps
@@ -290,9 +294,9 @@ class InducedSubgraph:
 def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     """Subgraph induced on the given vertex set, relabeled compactly.
 
-    Only the darts of the kept vertices are read, and each head is looked
-    up in the sorted kept set, so the work is O(|S| + vol(S) log |S|) for
-    the kept set S and the sum vol(S) of its degrees, whatever G's size.
+    Only the darts of the kept vertices are read, and each head is relabeled
+    by one gather from an n-long map, so beyond sorting S the work is
+    O(n + vol S) for the kept set S and the sum vol S of its degrees.
     """
     keep = np.sort(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
                               dtype=np.int64))
@@ -304,12 +308,15 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     ptr = G._indptr
     heads = G._indices[_dart_positions(ptr, keep)]
     tails = np.repeat(np.arange(keep.size), ptr[keep + 1] - ptr[keep])
-    new = np.searchsorted(keep, heads)
+    # new label of each vertex; keep.size, above every tail, when dropped
+    index = np.full(G.n, keep.size, dtype=heads.dtype)
+    index[keep] = np.arange(keep.size, dtype=heads.dtype)
+    new = np.take(index, heads)
+    del index
     # a dart from a kept tail down to a kept head is one edge (head, tail);
     # CSR order sorts these by (tail, head), which is colex order
     down = new < tails
-    down[down] = keep[new[down]] == heads[down]
-    edges = np.column_stack([new[down], tails[down]])
+    edges = np.column_stack([new[down].astype(np.int64), tails[down]])
     return InducedSubgraph(Graph._from_canonical(keep.size, edges), keep)
 
 
@@ -323,14 +330,17 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _peel(G: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(core degrees, forest) of G, read-only and cached on G, so G is
-    peeled at most once.
+def _peel(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(core degrees, forest, owned) of G, read-only and cached on G, so G
+    is peeled at most once.
 
     The core degree of a vertex is its degree in the 2-core, or 0 for a
     vertex outside it.  The forest maps every vertex to the core vertex
     its pendant tree hangs from, or to the root of its tree component;
-    core vertices and roots map to themselves.
+    core vertices and roots map to themselves.  owned counts the vertices
+    the forest maps to each vertex: for a core vertex, itself and its
+    pendant trees; for a root, its whole tree component; 0 elsewhere.  All
+    three are of the CSR index dtype.
 
     Leaf peel: each round removes the live vertices of degree below 2.
     Every vertex keeps the XOR of its live neighbours' ids, so a leaf reads
@@ -403,9 +413,10 @@ def _peel(G: Graph) -> tuple[np.ndarray, np.ndarray]:
         hang[frontier] = np.take(hang, np.take(hang, frontier))
     del rounds
     deg[~alive] = 0
-    deg.setflags(write=False)
-    hang.setflags(write=False)
-    G._peeled = deg, hang
+    owned = np.bincount(hang, minlength=n).astype(deg.dtype)
+    for a in (deg, hang, owned):
+        a.setflags(write=False)
+    G._peeled = deg, hang, owned
     return G._peeled
 
 
@@ -418,36 +429,42 @@ def _core_degrees(G: Graph) -> np.ndarray:
 def two_core(G: Graph) -> InducedSubgraph:
     """Maximal subgraph with minimum degree 2 (empty if none exists), from
     the peel cached on G."""
-    return induced_subgraph(G, np.flatnonzero(_core_degrees(G)))
+    return induced_subgraph(G, np.flatnonzero(_core_degrees(G) > 0))
 
 
 def giant_vertices(G: Graph) -> np.ndarray:
     """Vertices of the largest connected component, ascending; ties broken
     by the smallest contained vertex.
 
-    Only the 2-core is labelled, by Graph._components on two_core(G).  Each
-    core component is named by one of its core vertices and each tree
-    component by its root, and every vertex takes the name of the core
-    vertex or root the peel's forest maps it to, so labelling all of G costs
-    one gather beyond the peel.
+    Only the 2-core is labelled, by Graph._components on two_core(G).  The
+    peel's forest maps each component to its core vertices, or else to its
+    root, so a component's size is the sum of the owned counts (_peel) of
+    those vertices.  The winner's vertices are the ones the forest maps
+    into it, found by one gather of a mask.
     """
     if G.n == 0:
         raise GraphError("empty graph has no components")
+    deg, forest, owned = _peel(G)
     core = two_core(G)
-    forest = _peel(G)[1]
     labels = core.graph._components()[1]
-    _, first = np.unique(labels, return_index=True)
-    name = np.arange(G.n, dtype=forest.dtype)
-    name[core.old_labels] = core.old_labels[first][labels]
-    label = np.take(name, forest)
-    del name
-    sizes = np.bincount(label)
-    top = sizes == sizes.max()
-    winner = np.argmax(top)
-    if np.count_nonzero(top) > 1:
+    sizes = np.bincount(labels, weights=owned[core.old_labels])
+    tree = deg == 0
+    tree_top = int(owned.max(where=tree, initial=0))
+    top = max(int(sizes.max(initial=0)), tree_top)
+    # mark the core vertices or the root of every largest component
+    mark = np.zeros(G.n, dtype=bool)
+    mark[core.old_labels[sizes[labels] == top]] = True
+    roots = np.flatnonzero(tree & (owned == top)) if tree_top == top else []
+    mark[roots] = True
+    if np.count_nonzero(sizes == top) + len(roots) > 1:
         # the least vertex of a largest component names the winner
-        winner = label[np.argmax(top[label])]
-    return np.flatnonzero(label == winner)
+        rep = forest[np.argmax(mark[forest])]
+        mark[:] = False
+        if deg[rep]:
+            mark[core.old_labels[labels == labels[np.searchsorted(core.old_labels, rep)]]] = True
+        else:
+            mark[rep] = True
+    return np.flatnonzero(mark[forest])
 
 
 def giant_component(G: Graph) -> InducedSubgraph:
@@ -544,7 +561,10 @@ class Kernel:
 def kernel(G: Graph) -> Kernel:
     """Kernel of G, from the 2-core peel cached on G, on arrays.
 
-    The core darts are numbered in CSR order.  A dart into a vertex of core
+    The core darts are numbered in CSR order, their heads relabeled to core
+    indices by one gather from an n-long map, and each is paired with its
+    reverse by inverting the argsort of the (head, tail) keys; the work is
+    O(n) plus a sort of the core darts.  A dart into a vertex of core
     degree 2 steps to that vertex's other dart, and pointer jumping follows
     the steps to give every dart the last dart of its chain and the number
     of darts after it.  A chain starts at each dart leaving a kernel vertex;
@@ -554,14 +574,21 @@ def kernel(G: Graph) -> Kernel:
     are walked one vertex at a time.
     """
     deg = _core_degrees(G)
-    core = np.flatnonzero(deg)
+    core = np.flatnonzero(deg > 0)
     cdeg = deg[core].astype(np.int64)
     heads = G._indices[_dart_positions(G._indptr, core)]
     # core darts in CSR order, tail and head as indices into core
-    head = np.searchsorted(core, heads[deg[heads] > 0])
+    index = np.full(G.n, -1, dtype=heads.dtype)
+    index[core] = np.arange(core.size, dtype=heads.dtype)
+    head = np.take(index, heads)
+    del index, heads
+    head = head[head >= 0].astype(np.int64)
     tail = np.repeat(np.arange(core.size), cdeg)
     first = np.cumsum(cdeg) - cdeg  # each core vertex's first dart
-    rev = np.searchsorted(tail * core.size + head, head * core.size + tail)
+    # the darts sorted by (head, tail) are the reverses of the darts in
+    # order, so inverting that sort pairs each dart with its reverse
+    rev = np.empty(head.size, dtype=np.int64)
+    rev[np.argsort(head * core.size + tail)] = np.arange(head.size)
     through = cdeg[head] == 2
     step = np.where(through, 2 * first[head] + 1 - rev, np.arange(head.size))
     # after these rounds every chain dart jumps to its chain's last dart

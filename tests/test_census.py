@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -110,6 +111,10 @@ def test_classification_by_core_matches_brute_force() -> None:
         m = n // 2 + (t * (4 * n // 3 - n // 2)) // 15
         h = gnm(n, m, seed=(59, t))
         cases.append((h, enumerate_cycles(h, 8)))
+    # supercritical draws, whose pendant trees run many levels deep
+    for seed in (17, 23):
+        h = gnm(3000, 2000, seed=seed)
+        cases.append((h, enumerate_cycles(h, 8)))
     for h, cycles in cases:
         for cyc in cycles:
             cn = classify_cycle_neighborhood(h, cyc)
@@ -157,11 +162,13 @@ def test_predicted_quantities() -> None:
 
 
 def test_supercritical_report_in_window() -> None:
-    # at seed 23 the 2-core of G has a cycle component outside the giant
-    for seed in (17, 23):
+    # at seed 23 the 2-core of G has a cycle component outside the giant;
+    # ell = 12 lies above the census length floor(a*n/s) = 7, the default
+    # ell = 6 below it
+    for seed, ell in itertools.product((17, 23), (None, 12)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = supercritical_report(3000, 500, seed=seed)
+            rep = supercritical_report(3000, 500, seed=seed, ell=ell)
         assert rep.n == 3000
         assert rep.s == 500
         assert rep.m == 3000 // 2 + 500
@@ -172,8 +179,9 @@ def test_supercritical_report_in_window() -> None:
         assert rep.census_cycle_count >= 0
         assert rep.predicted == pytest.approx(8 * 500**3 / (3 * 3000**2))
         # each field equals its standalone definition on the same sample
-        ell = max(3, 3000 // 500)
+        ell = ell or max(3, 3000 // 500)
         a = max(0.0, 0.5 * math.log(500**3 / 3000**2))
+        assert math.floor(a * 3000 / 500) == 7
         G = gnm(3000, 1500 + 500, seed=seed)
         giant = giant_component(G).graph
         core = two_core(giant).graph
@@ -188,20 +196,19 @@ def test_supercritical_report_in_window() -> None:
 
 
 def test_supercritical_report_labels_only_the_core(monkeypatch) -> None:
-    # the giant comes from the 2-core peel; scipy labels the core alone
+    # the giant comes from the 2-core peel; scipy labels G's 2-core alone,
+    # and the giant's core is counted, not built and labelled again
     labelled = []
     components = Graph._components
 
     def recording(self):
-        labelled.append(self.n)
+        labelled.append(self)
         return components(self)
 
     monkeypatch.setattr(Graph, "_components", recording)
     for seed in (17, 23):
-        rep = supercritical_report(3000, 500, seed=seed)
-        assert 3000 not in labelled
-        assert 0 < max(labelled) < 3000
-        assert rep.core_vertices in labelled
+        supercritical_report(3000, 500, seed=seed)
+        assert labelled == [two_core(gnm(3000, 2000, seed=seed)).graph]
         labelled.clear()
 
 

@@ -233,16 +233,20 @@ def _check_peel_against_networkx(g: Graph, name) -> None:
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edge_list())
-    deg, forest = _peel(g)
+    deg, forest, owned = _peel(g)
     kcore = nx.k_core(nxg, 2)
     want = np.zeros(g.n, dtype=np.int64)
     for v, d in kcore.degree():
         want[v] = d
     assert np.array_equal(deg, want), name
-    assert not deg.flags.writeable and not forest.flags.writeable, name
+    assert not any(a.flags.writeable for a in (deg, forest, owned)), name
     for comp in nx.connected_components(nxg):
         members = sorted(comp)
         cores = [v for v in members if deg[v]]
+        # the vertices the forest maps to own the whole component
+        reps = cores or [int(forest[members[0]])]
+        assert sum(int(owned[v]) for v in reps) == len(members), name
+        assert all(owned[v] == 0 for v in members if v not in reps), name
         if not cores:
             # a tree component: every vertex maps to one root inside it
             assert len({int(forest[v]) for v in members}) == 1, name
