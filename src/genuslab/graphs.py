@@ -21,7 +21,10 @@ kernel pairs each core dart with its reverse by inverting one argsort,
 finds its chains by pointer jumping over the core darts and walks only
 rings vertex by vertex; enumerate_cycles grows path prefixes over the
 kernel as arrays, in batches of at most EXPAND_SLICE, and builds vertex
-tuples only for the cycles it finds.
+tuples only for the cycles it finds.  Its roots run in blocks, each with a
+direct index of at most INDEX_ENTRIES entries over the sorted kernel darts:
+a prefix starts at the first dart of its end past its root, and the darts
+that close a step are read by two gathers, with no search.
 
 A Graph caches its component labels and the read-only result of its
 2-core peel (_peel: the core degrees behind two_core, kernel and
@@ -35,7 +38,12 @@ hash.
 
 contract_sets and fragile.build_quotient share one contraction: an owner
 array maps each vertex to its set (_owner_array), and _contract_pairs maps
-the pairs through it with one gather and one np.unique.
+the pairs through it with one gather and drops repeats with _distinct.
+
+Integer arrays are deduplicated by _distinct, one sort and a comparison
+of neighbours: numpy 2's np.unique hashes instead, which is many times
+slower on int64 arrays.  Only random_models._ordered_distinct keeps
+np.unique, for the first positions of values in its short repair arrays.
 """
 
 from __future__ import annotations
@@ -298,11 +306,8 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     by one gather from an n-long map, so beyond sorting S the work is
     O(n + vol S) for the kept set S and the sum vol S of its degrees.
     """
-    keep = np.sort(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
-                              dtype=np.int64))
-    first = np.ones(keep.size, dtype=bool)
-    first[1:] = keep[1:] != keep[:-1]
-    keep = keep[first]
+    keep = _distinct(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
+                                dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= G.n):
         raise GraphError("vertex out of range")
     ptr = G._indptr
@@ -318,6 +323,18 @@ def induced_subgraph(G: Graph, vertices) -> InducedSubgraph:
     down = new < tails
     edges = np.column_stack([new[down].astype(np.int64), tails[down]])
     return InducedSubgraph(Graph._from_canonical(keep.size, edges), keep)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, ascending, as np.unique gives
+    them, by one sort and a comparison of neighbours.  numpy 2's np.unique
+    hashes instead, which took 15 to 50 times as long on random int64
+    arrays of 5,000 to 367,000 entries."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _dart_positions(ptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -518,15 +535,15 @@ def _contract_pairs(owner: np.ndarray, count: int, edges: np.ndarray) -> Graph:
     owner is an _owner_array, whose last entry -1 is read for every vertex
     at or beyond it, so edges may reach past the last set member; they may
     also repeat a pair or list it in either orientation.  One gather maps
-    the pairs to set indices and one np.unique of their colex codes drops
-    the repeats.
+    the pairs to set indices and _distinct of their colex codes drops the
+    repeats.
     """
     if edges.size and edges.min() < 0:
         raise GraphError("edge endpoint out of range")
     ends = np.take(owner, edges, mode="clip")
     ends.sort(axis=1)
     ends = ends[(ends[:, 0] >= 0) & (ends[:, 0] != ends[:, 1])]
-    codes = np.unique(_encode_pairs(ends[:, 0], ends[:, 1]))
+    codes = _distinct(_encode_pairs(ends[:, 0], ends[:, 1]))
     return Graph._from_canonical(count, _decode_pairs(codes))
 
 
@@ -617,7 +634,7 @@ def kernel(G: Graph) -> Kernel:
     if on_ring.any():
         to, steps, firsts = head.tolist(), step.tolist(), first.tolist()
         walked = set()
-        for v in np.unique(tail[on_ring]).tolist():
+        for v in _distinct(tail[on_ring]).tolist():
             if v in walked:
                 continue
             ring, d = [v], firsts[v]
@@ -632,6 +649,9 @@ def kernel(G: Graph) -> Kernel:
 # Most path prefixes enumerate_cycles expands at once; bounds its memory on
 # dense graphs, where the cycle count can pass the cap after a few batches.
 EXPAND_SLICE = 512
+# Most entries of the dart index enumerate_cycles builds for one block of
+# roots; at least (N + 1)**2 keeps a kernel of N vertices in one block.
+INDEX_ENTRIES = 1 << 18
 
 
 def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tuple[int, ...]]:
@@ -644,15 +664,23 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     The search runs on the kernel.  A cycle is a ring, a loop, or a closed
     path of two or more chains through distinct kernel vertices.  Such a
     path is rooted at its least kernel vertex r and kept in the orientation
-    whose first chain id is below its closing chain id.  The paths from
-    every root grow together, one chain per step, as arrays of prefixes:
-    a prefix steps along a chain to w only when w > r, w is not on it yet
-    and its length stays below max_length, and the step closes a cycle for
-    each chain from w back to r, found by a search in the sorted kernel
-    darts, whose id is above the first chain's and whose length keeps the
-    cycle within max_length.  A stack of prefix batches, each cut to at
-    most EXPAND_SLICE prefixes, is expanded deepest first, so the memory
-    stays bounded while the count is checked against cap after each batch.
+    whose first chain id is below its closing chain id.  The roots run in
+    consecutive blocks, and the paths from the roots of a block grow
+    together, one chain per step, as arrays of prefixes: a prefix steps
+    along a chain to w only when w > r, w is not on it yet and its length
+    stays below max_length, and the step closes a cycle for each chain from
+    w back to r whose id is above the first chain's and whose length keeps
+    the cycle within max_length.  Each block has a direct index over the
+    kernel darts, sorted by (tail, head), that gives the first dart of any
+    vertex whose head is at least a given root of the block.  So a prefix
+    reads only the darts past its root, and the darts w -> r that close a
+    step take two gathers.  The index has one row per vertex with darts
+    into the block and one row shared by all other vertices; a block takes
+    as many roots as keep it within INDEX_ENTRIES entries, which is every
+    root of a kernel of at most 511 vertices.  Within a block, a stack of
+    prefix batches, each cut to at most EXPAND_SLICE prefixes, is expanded
+    deepest first, so the memory stays bounded while the count is checked
+    against cap after each batch.
     Vertex tuples are built only for the cycles found.
     """
     if max_length < 3:
@@ -672,52 +700,79 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     N = K.vertices.size
     tails = np.concatenate([K.tail[ids], K.head[ids]])
     heads = np.concatenate([K.head[ids], K.tail[ids]])
-    order = np.argsort(tails * N + heads, kind="stable")
+    order = np.argsort(tails * N + heads)
     tails, heads = tails[order], heads[order]
     chains = np.concatenate([ids, ids])[order]
     forward = order < ids.size
     steps = length[chains]
     ptr = np.searchsorted(tails, np.arange(N + 1))
-    key, key_first, key_count = np.unique(tails * N + heads, return_index=True, return_counts=True)
-    stack = [(np.arange(N), np.empty((N, 0), dtype=np.int64), np.zeros(N, dtype=np.int64))]
-    while stack:
-        root, path, total = stack.pop()
-        if root.size > EXPAND_SLICE:
-            stack.append((root[EXPAND_SLICE:], path[EXPAND_SLICE:], total[EXPAND_SLICE:]))
-            root, path, total = root[:EXPAND_SLICE], path[:EXPAND_SLICE], total[:EXPAND_SLICE]
-        at = heads[path[:, -1]] if path.shape[1] else root
-        counts = ptr[at + 1] - ptr[at]
-        src = np.repeat(np.arange(root.size), counts)
-        dart = _ranges(ptr[at], counts)
-        w = heads[dart]
-        t = total[src] + steps[dart]
-        ok = (w > root[src]) & (t < max_length)
-        src, dart, w, t = src[ok], dart[ok], w[ok], t[ok]
-        if path.shape[1]:
-            ok = np.ones(src.size, dtype=bool)
-            for on_path in heads[path].T:
-                ok &= on_path[src] != w
+    itype = _index_dtype(N, heads.size)
+    base = ptr[:-1]  # each vertex's first dart whose head is at least r0
+    r0 = 0
+    while r0 < N:
+        # a block of roots r0 .. r1 - 1, as many as keep its index within
+        # INDEX_ENTRIES: one row for each vertex with darts into the block,
+        # which by symmetry are the heads of the darts out of it, and one
+        # row for every other vertex, each row one entry wider than the block
+        ends = np.arange(r0 + 1, N + 1)
+        entries = (np.minimum(ptr[ends] - ptr[r0], N) + 1) * (ends - r0 + 1)
+        r1 = r0 + max(1, int(np.count_nonzero(entries <= INDEX_ENTRIES)))
+        width = r1 - r0 + 1
+        into = heads[ptr[r0]:ptr[r1]]
+        rows = _distinct(into)
+        row = np.full(N, rows.size)
+        row[rows] = np.arange(rows.size)
+        # each dart v -> x into the block fills the cell
+        # row[v] * width + x - r0 + 1, and index[k] counts the cells <= k;
+        # so shift[v] + index[row[v] * width + j] is the first dart of v
+        # whose head is at least r0 + j
+        cells = np.sort(row[into] * width + tails[ptr[r0]:ptr[r1]] - r0 + 1)
+        index = np.repeat(np.arange(cells.size + 1, dtype=itype),
+                          np.diff(cells, prepend=0, append=(rows.size + 1) * width))
+        shift = base - index[row * width]
+        root = np.arange(r0, r1)
+        stack = [(root, np.empty((root.size, 0), dtype=np.int64), np.zeros(root.size, dtype=np.int64))]
+        while stack:
+            root, path, total = stack.pop()
+            if root.size > EXPAND_SLICE:
+                stack.append((root[EXPAND_SLICE:], path[EXPAND_SLICE:], total[EXPAND_SLICE:]))
+                root, path, total = root[:EXPAND_SLICE], path[:EXPAND_SLICE], total[:EXPAND_SLICE]
+            # step only along darts whose head is above the root
+            at = heads[path[:, -1]] if path.shape[1] else root
+            start = shift[at] + np.take(index, row[at] * width + root - r0 + 1)
+            counts = ptr[at + 1] - start
+            src = np.repeat(np.arange(root.size), counts)
+            dart = _ranges(start, counts)
+            w = heads[dart]
+            t = total[src] + steps[dart]
+            ok = t < max_length
+            if path.shape[1]:
+                for on_path in heads[path].T:
+                    ok &= on_path[src] != w
             src, dart, w, t = src[ok], dart[ok], w[ok], t[ok]
-        r = root[src]
-        first = chains[path[src, 0]] if path.shape[1] else chains[dart]
-        # close through each chain from w back to r: a dart r -> w, reversed
-        query = r * N + w
-        pos = np.minimum(np.searchsorted(key, query), key.size - 1)
-        hits = np.where(key[pos] == query, key_count[pos], 0)
-        closing = np.repeat(np.arange(query.size), hits)
-        back = _ranges(key_first[pos], hits)
-        ok = (chains[back] > first[closing]) & (t[closing] + steps[back] <= max_length)
-        closing, back = closing[ok], back[ok]
-        count += closing.size
-        if count > cap:
-            raise CycleBudgetError(cap, max_length)
-        if closing.size:
-            darts = np.column_stack([path[src[closing]], dart[closing]])
-            found.append((np.column_stack([chains[darts], chains[back]]),
-                          np.column_stack([forward[darts], ~forward[back]])))
-        grow = t + 1 < max_length
-        if grow.any():
-            stack.append((r[grow], np.column_stack([path[src[grow]], dart[grow]]), t[grow]))
+            r = root[src]
+            first = chains[path[:, 0]][src] if path.shape[1] else chains[dart]
+            # close through each dart w -> r
+            key = row[w] * width + r - r0
+            start = np.take(index, key)
+            hits = np.take(index, key + 1) - start
+            closing = np.flatnonzero(hits)
+            hits = hits[closing]
+            back = _ranges(shift[w[closing]] + start[closing], hits)
+            closing = np.repeat(closing, hits)
+            ok = (chains[back] > first[closing]) & (t[closing] + steps[back] <= max_length)
+            closing, back = closing[ok], back[ok]
+            count += closing.size
+            if count > cap:
+                raise CycleBudgetError(cap, max_length)
+            if closing.size:
+                darts = np.column_stack([path[src[closing]], dart[closing], back])
+                found.append((chains[darts], forward[darts]))
+            grow = t + 1 < max_length
+            if grow.any():
+                stack.append((r[grow], np.column_stack([path[src[grow]], dart[grow]]), t[grow]))
+        base = shift + index[row * width + width - 1]
+        r0 = r1
     return sorted(rings + _cycle_tuples(K, found))
 
 
@@ -742,7 +797,7 @@ def _cycle_tuples(K: Kernel, found) -> list[tuple[int, ...]]:
     size = np.add.reduceat(seg, np.cumsum(per_cycle) - per_cycle)
     begin = np.cumsum(size) - size
     out = []
-    for k in np.unique(size).tolist():
+    for k in _distinct(size).tolist():
         rows = verts[begin[size == k][:, None] + np.arange(k)]
         # rotate each row to its least vertex, then orient it
         rows = np.take_along_axis(rows, (rows.argmin(axis=1)[:, None] + np.arange(k)) % k, axis=1)

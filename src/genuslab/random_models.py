@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _decode_pairs, _encode_pairs
+from .graphs import Graph, GraphError, _decode_pairs, _distinct, _encode_pairs
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -116,5 +116,5 @@ def add_uniform_edges(G: Graph, k: int, seed=None) -> tuple[Graph, np.ndarray]:
     uniform_pairs(G.n, k, seed).
     """
     added = uniform_pairs(G.n, k, seed)
-    merged = np.unique(_encode_pairs(*np.concatenate([G.edge_array, added]).T))
+    merged = _distinct(_encode_pairs(*np.concatenate([G.edge_array, added]).T))
     return Graph._from_canonical(G.n, _decode_pairs(merged)), added

@@ -32,7 +32,7 @@ from genuslab import (
 )
 from genuslab.census import classify_cycle_neighborhood
 from genuslab.corpus import census_showcase, named_fixtures
-from genuslab.graphs import _core_degrees, _index_dtype, _peel
+from genuslab.graphs import INDEX_ENTRIES, _core_degrees, _distinct, _index_dtype, _peel
 from brute_force import brute_cycles, dfs_cycles, same_csr
 
 
@@ -492,9 +492,11 @@ def _networkx_cycles(g: Graph, max_length: int) -> set[tuple[int, ...]]:
     return out
 
 
-def test_kernel_search_matches_dfs_and_networkx() -> None:
+def test_kernel_search_matches_dfs_and_networkx(monkeypatch) -> None:
     # every cycle length of the sparse fixtures, each one less, and the
-    # degenerate bounds; pointer jumping crosses 2,000-vertex chains
+    # degenerate bounds; pointer jumping crosses 2,000-vertex chains.  Each
+    # search runs with the default index bound (one block of roots), with
+    # blocks of a few roots, and with one root per block
     cases = [(name, g, None) for name, g in _kernel_fixtures().items()]
     cases += [("rings", _rings(3, 4, 7, 2000, seed=7), None),
               ("long theta", _theta(2000, 2000, 2000, seed=8), None)]
@@ -509,9 +511,11 @@ def test_kernel_search_matches_dfs_and_networkx() -> None:
             assert lengths, name
             max_lens = sorted({2, 3, g.n} | lengths | {k - 1 for k in lengths})
         for max_len in max_lens:
-            fast = enumerate_cycles(g, max_len)
-            assert fast == dfs_cycles(g, max_len), (name, max_len)
-            assert set(fast) == _networkx_cycles(g, max_len), (name, max_len)
+            expect = dfs_cycles(g, max_len)
+            assert set(expect) == _networkx_cycles(g, max_len), (name, max_len)
+            for entries in (INDEX_ENTRIES, 256, 1):
+                monkeypatch.setattr("genuslab.graphs.INDEX_ENTRIES", entries)
+                assert enumerate_cycles(g, max_len) == expect, (name, max_len, entries)
 
 
 def test_kernel_of_a_loop_and_a_ring() -> None:
@@ -602,6 +606,22 @@ def test_cycle_cap_is_exact() -> None:
             enumerate_cycles(g, max_len, cap=len(cycles) - 1)
 
 
+def test_cycle_cap_is_exact_in_a_later_root_block(monkeypatch) -> None:
+    g = gnm(50, 400, seed=(97, 50))
+    cycles = enumerate_cycles(g, 4)
+    # every vertex is a kernel vertex, so a cycle's root is its first vertex
+    assert kernel(g).vertices.tolist() == list(range(g.n))
+    monkeypatch.setattr("genuslab.graphs.INDEX_ENTRIES", 1)  # one root per block
+    # a cap no lower than the count of the first block's cycles is passed
+    # in a later block
+    first_block = sum(c[0] == 0 for c in cycles)
+    assert 0 < first_block < len(cycles) - 1
+    for cap in (first_block, len(cycles) // 2, len(cycles) - 1):
+        with pytest.raises(CycleBudgetError):
+            enumerate_cycles(g, 4, cap=cap)
+    assert enumerate_cycles(g, 4, cap=len(cycles)) == cycles
+
+
 def test_cycle_cap_bounds_the_memory_of_a_dense_search() -> None:
     # expanding whole levels of path prefixes at once peaks near 4 MB here
     g = complete_graph(13)
@@ -613,6 +633,37 @@ def test_cycle_cap_bounds_the_memory_of_a_dense_search() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 2_500_000
+
+
+def test_cycle_cap_bounds_the_memory_of_a_multi_block_search() -> None:
+    # 600 kernel vertices of degree about 20 take two blocks of roots at the
+    # default bound; a block's index holds at most INDEX_ENTRIES int32
+    # entries (1 MB), and the whole search peaks near 4.2 MB here
+    g = gnm(600, 6000, seed=(101, 600))
+    assert kernel(g).vertices.size > 511
+    tracemalloc.start()
+    try:
+        with pytest.raises(CycleBudgetError):
+            enumerate_cycles(g, 5, cap=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_distinct_matches_numpy_unique() -> None:
+    rng = np.random.default_rng(11)
+    for dtype in (np.int32, np.int64):
+        info = np.iinfo(dtype)
+        cases = [np.zeros(0, dtype=dtype), np.full(1, 9, dtype=dtype), np.full(1000, -3, dtype=dtype)]
+        cases += [rng.integers(-50, 50, size, dtype=dtype) for size in (2, 100, 10_000)]
+        cases.append(rng.integers(info.min, info.max, 5000, dtype=dtype, endpoint=True))
+        for values in cases:
+            before = values.copy()
+            got = _distinct(values)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.unique(values))
+            assert np.array_equal(values, before)
 
 
 def test_long_chains_need_no_recursion() -> None:
