@@ -44,12 +44,10 @@ from .embeddings import (
     validate_rotation,
 )
 from .asymptotics import (
-    MCEstimate,
     component_fraction,
     component_fraction_derivative,
     cycle_count_limit,
     genus_per_edge,
-    mc_cycle_count_limit,
 )
 from .census import (
     CycleNeighborhood,

@@ -16,14 +16,12 @@ dual root in (0, 1) of T e^(-T) = c e^(-c), found to machine precision.
 component_fraction_derivative is its derivative, genus_per_edge the limiting
 genus per edge at edge density lambda, and cycle_count_limit the limiting
 expected number of cycles in the slightly supercritical regime, defined by a
-double integral that equals Shi(2i) in closed form and is checked,
-independently, by stratified Monte Carlo.
+double integral that equals Shi(2i) in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,55 +120,3 @@ def cycle_count_limit(i: float) -> float:
     from scipy import special
 
     return float(special.shichi(2.0 * i)[0])
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """Monte Carlo estimate with a standard error from independent rounds."""
-
-    value: float
-    stderr: float
-    samples: int
-
-
-def mc_cycle_count_limit(i: float, samples: int = 1_000_000, seed=0) -> MCEstimate:
-    """Stratified Monte Carlo check of cycle_count_limit.
-
-    Substituting t = sqrt(y) and then w = x/t turns the integrand into the
-    bounded function (1/t)(e^(4wt) - 1) exp(-w^2/2 - 2t^2) on the region
-    w t <= i, which is integrated over a truncated box (truncation error is
-    below 1e-8 of the result, far under any attainable stochastic error) by
-    averaging one uniform point per grid cell, repeated over independent
-    rounds that provide the standard error.
-    """
-    if i <= 0:
-        raise ValueError("upper limit must be positive")
-    if samples < 32:
-        raise ValueError("too few samples")
-    rng = np.random.default_rng(seed)
-    w_max = math.sqrt(8.0 * i + 42.0)
-    t_max = math.sqrt((4.0 * i + 21.0) / 2.0)
-    grid = int(math.sqrt(samples / 8.0))
-    grid = max(4, min(grid, 1024))
-    rounds = max(2, int(round(samples / (grid * grid))))
-    cell_w = w_max / grid
-    cell_t = t_max / grid
-    wi, ti = np.meshgrid(np.arange(grid), np.arange(grid), indexing="ij")
-    wi = wi.ravel().astype(np.float64)
-    ti = ti.ravel().astype(np.float64)
-    area = w_max * t_max
-    means = np.empty(rounds)
-    for r in range(rounds):
-        w = (wi + rng.random(wi.size)) * cell_w
-        t = (ti + rng.random(ti.size)) * cell_t
-        inside = w * t <= i
-        g = np.zeros(wi.size)
-        tw = t[inside]
-        g[inside] = np.expm1(4.0 * w[inside] * tw) / tw * np.exp(
-            -0.5 * w[inside] ** 2 - 2.0 * tw * tw
-        )
-        means[r] = g.mean() * area
-    scale = 1.0 / math.sqrt(2.0 * math.pi)
-    value = float(means.mean() * scale)
-    stderr = float(means.std(ddof=1) / math.sqrt(rounds) * scale)
-    return MCEstimate(value=value, stderr=stderr, samples=rounds * grid * grid)

@@ -46,7 +46,6 @@ from .asymptotics import (
     component_fraction_derivative,
     cycle_count_limit,
     genus_per_edge,
-    mc_cycle_count_limit,
 )
 from .census import SupercriticalReport, predicted_core_excess, supercritical_report
 from .corpus import named_fixtures
@@ -113,7 +112,8 @@ def _emit(ns, rows: list[dict], summary: dict, seconds=(), *,
             "rows": rows,
             "summary": summary,
         }
-        _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", ns.out)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        _write_text(text + "\n", ns.out)
         return
     table = rows if table is None else table
     if fields is None:
@@ -306,7 +306,7 @@ def _cmd_genus(ns) -> int:
     return 0
 
 
-# asym flag: (row name, function); the positional lambda-i is --cycle-limit
+# asym flag: (row name, function)
 _ASYM_FUNCTIONS = {
     "u": ("component_fraction", component_fraction),
     "du": ("component_fraction_derivative", component_fraction_derivative),
@@ -316,27 +316,14 @@ _ASYM_FUNCTIONS = {
 
 
 def _cmd_asym(ns) -> int:
-    if ns.function is not None:
-        if not ns.arg:
-            raise ValueError(f"asym {ns.function} needs --arg values")
-        flag = "cycle_limit" if ns.function == "lambda-i" else ns.function
-        setattr(ns, flag, list(ns.arg) + (getattr(ns, flag) or []))
     rows = [
         {"function": name, "argument": x, "value": function(x)}
         for flag, (name, function) in _ASYM_FUNCTIONS.items()
         for x in getattr(ns, flag) or []
     ]
-    for i in ns.mc_cycle_limit or []:
-        est = mc_cycle_count_limit(i, samples=ns.mc_samples, seed=ns.seed)
-        rows.append({"function": "mc_cycle_count_limit", "argument": i,
-                     "value": est.value, "stderr": est.stderr})
     if not rows:
-        raise ValueError(
-            "nothing to evaluate; pass --u, --du, --mu, --cycle-limit, "
-            "or --mc-cycle-limit"
-        )
-    _emit(ns, rows, {"evaluations": len(rows)},
-          fields=["function", "argument", "value", "stderr"])
+        raise ValueError("nothing to evaluate; pass --u, --du, --mu or --cycle-limit")
+    _emit(ns, rows, {"evaluations": len(rows)})
     return 0
 
 
@@ -536,10 +523,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, default_format="json") -> None:
+def _add_output(p, default_format="json") -> None:
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
     p.add_argument("--out", default=None, help="output path (default stdout); "
                    f"relative paths resolve under ${OUT_DIR_ENV} when set")
+
+
+def _add_trials(p) -> None:
+    """The options of the commands that draw random trials."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for trial fan-out (default 1)")
@@ -578,15 +569,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most cycles the census may enumerate (bounds mode)")
     p.add_argument("--faces", action="store_true",
                    help="include the face walks of a minimum-genus rotation")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_genus)
 
     p = sub.add_parser("asym", help="evaluate the asymptotic functions")
-    p.add_argument("function", nargs="?", default=None,
-                   choices=("u", "du", "mu", "lambda-i"),
-                   help="function to evaluate at the --arg values")
-    p.add_argument("--arg", type=float, nargs="+", default=None,
-                   help="arguments for the positional function form")
     p.add_argument("--u", type=float, nargs="+", default=None,
                    help="component fraction u at these arguments")
     p.add_argument("--du", type=float, nargs="+", default=None,
@@ -595,16 +581,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="genus per edge at these edge densities")
     p.add_argument("--cycle-limit", type=float, nargs="+", default=None,
                    help="limiting census cycle count at these lengths")
-    p.add_argument("--mc-cycle-limit", type=float, nargs="+", default=None,
-                   help="Monte Carlo check of the cycle count limit")
-    p.add_argument("--mc-samples", type=int, default=200_000)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_asym)
 
     p = sub.add_parser("predict", help="regime classification and genus prediction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, nargs="+", required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("contiguity", help="contiguity verdict for (n, m, genus)")
@@ -613,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="edge count; omit for the all-graphs model")
     p.add_argument("--genus", "--g", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.05)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_contiguity)
 
     p = sub.add_parser("census", help="structural census experiments")
@@ -628,7 +611,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--a", type=float, default=None,
                    help="census parameter (default 0.5*ln(s^3/n^2))")
     q.add_argument("--cap", type=int, default=CYCLE_CAP)
-    _add_common(q)
+    _add_output(q)
+    _add_trials(q)
     q.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("mc", help="Monte Carlo experiments")
@@ -639,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=(0.25, 0.5, 1.0, 2.0),
                    help="edge densities m = floor(lam*n)")
     q.add_argument("--trials", type=_positive_int, default=10)
-    _add_common(q)
+    _add_output(q)
+    _add_trials(q)
     q.set_defaults(func=_cmd_mc_kappa)
 
     p = sub.add_parser("curve", help="genus per edge across an edge-count grid")
@@ -647,7 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, nargs="+", default=None,
                    help="edge counts (default: a built-in grid)")
     p.add_argument("--ell", type=int, default=4)
-    _add_common(p, default_format="csv")
+    _add_output(p, default_format="csv")
+    _add_trials(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("fragile", help="random perturbation genus experiment")
@@ -664,7 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--ell", type=int, default=3,
                    help="cycle census length for the quotient lower bound")
-    _add_common(p)
+    _add_output(p)
+    _add_trials(p)
     p.set_defaults(func=_cmd_fragile)
 
     p = sub.add_parser("suite", help="run a named acceptance suite")
@@ -673,7 +660,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_positive_int, default=None)
     p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--trials", type=_positive_int, default=None)
-    _add_common(p)
+    _add_output(p)
+    _add_trials(p)
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -156,9 +156,10 @@ def genus_lower_bound_short_cycles(
     m - n + kappa nor the cycle census, so the value agrees with the bound on
     the 2-core whenever the graph has a cycle, and acyclic graphs return 0.
     """
+    ell = int(max_cycle_length)
     acyclic = graph.m - graph.n + graph.component_count <= 0
-    short = 0 if acyclic else len(enumerate_cycles(graph, int(max_cycle_length), cap=cap))
-    return genus_lower_bound_from_cycle_count(graph, max_cycle_length, short)
+    short = 0 if acyclic else len(enumerate_cycles(graph, ell, cap=cap))
+    return _euler_lower(graph.n, graph.m, graph.component_count, ell, short)
 
 
 def _euler_lower(n, m, kappa, ell: int, short=0):
@@ -174,14 +175,6 @@ def _euler_lower(n, m, kappa, ell: int, short=0):
     num = (rank + 1) * (ell + 1) - 2 * m - 2 * short * (ell - 2)
     lower = -((-num) // (2 * (ell + 1)))
     return lower * (lower > 0) * (rank > 0)
-
-
-def genus_lower_bound_from_cycle_count(
-    graph: Graph, max_cycle_length: int, short: int
-) -> int:
-    """The bound of genus_lower_bound_short_cycles, given the number short
-    of cycles of length at most max_cycle_length in graph."""
-    return _euler_lower(graph.n, graph.m, graph.component_count, int(max_cycle_length), short)
 
 
 def genus_lower_bound_density(graph: Graph) -> int:

@@ -29,7 +29,6 @@ from genuslab import (
     genus_upper_bound,
     gnm,
     grid_graph,
-    mc_cycle_count_limit,
     path_graph,
     predicted_genus,
     supercritical_report,
@@ -209,19 +208,6 @@ def test_census_cycle_mean_approaches_the_poisson_limit() -> None:
     )
     assert elapsed < 1800.0
     assert 0.5 * target <= mean <= 1.5 * target
-
-
-@pytest.mark.extended
-def test_cycle_limit_closed_form_agrees_with_monte_carlo() -> None:
-    est = mc_cycle_count_limit(1.0, samples=4_000_000, seed=123)
-    diff = abs(est.value - cycle_count_limit(1.0))
-    ok = diff < 1e-3
-    _verdict(
-        "cycle limit Shi(2i) vs Monte Carlo",
-        ok,
-        f"difference {diff:.2e} at 4e6 samples",
-    )
-    assert diff < 1e-3
 
 
 def test_corpus_invariant_sweep(corpus6, fixtures, genus_of) -> None:

@@ -3,12 +3,10 @@ from __future__ import annotations
 import pytest
 
 from genuslab import (
-    MCEstimate,
     component_fraction,
     component_fraction_derivative,
     cycle_count_limit,
     genus_per_edge,
-    mc_cycle_count_limit,
 )
 import oracles
 
@@ -117,22 +115,6 @@ def test_cycle_count_limit_shape() -> None:
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         cycle_count_limit(-1.0)
-
-
-def test_mc_estimate_agrees_with_quadrature() -> None:
-    est = mc_cycle_count_limit(0.5, samples=200_000, seed=11)
-    assert isinstance(est, MCEstimate)
-    # the stratified sampler rounds down to a whole number of strata
-    assert 0.99 * 200_000 <= est.samples <= 200_000
-    assert est.stderr > 0
-    assert abs(est.value - cycle_count_limit(0.5)) < 4 * est.stderr + 1e-4
-
-
-def test_mc_validation() -> None:
-    with pytest.raises(ValueError):
-        mc_cycle_count_limit(0.0)
-    with pytest.raises(ValueError):
-        mc_cycle_count_limit(1.0, samples=8)
 
 
 def test_frozen_constants_recompute_from_scratch() -> None:

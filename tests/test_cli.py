@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import scipy
 
 import genuslab.cli
 from genuslab import component_fraction, cycle_count_limit, genus_per_edge
-from genuslab.cli import OUT_DIR_ENV, main
+from genuslab.cli import OUT_DIR_ENV, _build_parser, main
 from genuslab.graphs import format_edge_list, load_edge_list, path_graph
 
 
@@ -86,7 +89,7 @@ def test_budget_failure_is_json_under_csv(capsys, argv) -> None:
 
 
 @pytest.mark.parametrize("argv, header", [
-    (["asym", "--u", "2.0"], "function,argument,value,stderr"),
+    (["asym", "--u", "2.0"], "function,argument,value"),
     (["genus", "bounds", "--fixture", "k6"], "n,m,ell,lower,upper,density_lower"),
     (["predict", "--n", "1000000", "--m", "531623"],
      "n,m,regime,predicted_lo,predicted_hi"),
@@ -120,16 +123,14 @@ def test_asym_flag_form_matches_library(capsys) -> None:
     assert values["cycle_count_limit"] == pytest.approx(cycle_count_limit(1.0))
 
 
-def test_asym_positional_form(capsys) -> None:
-    rc, doc = _run_json(capsys, ["asym", "u", "--arg", "1.0", "2.0"])
-    assert rc == 0
-    assert [r["argument"] for r in doc["rows"]] == [1.0, 2.0]
-    assert doc["rows"][0]["value"] == pytest.approx(0.5, abs=1e-9)
-
-
 def test_asym_with_nothing_to_do_is_a_usage_error(capsys) -> None:
     assert main(["asym"]) == 2
-    assert main(["asym", "mu"]) == 2
+
+
+def test_asym_value_that_is_not_finite_is_a_usage_error(capsys) -> None:
+    # Shi(800) overflows a double, and strict JSON has no Infinity
+    assert main(["asym", "--cycle-limit", "400"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_predict_row_fields(capsys) -> None:
@@ -319,6 +320,13 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
     ["census", "supercritical", "--n", "3000", "--s", "500", "--trials", "0"],
     ["fragile", "--base", "path", "--n", "100", "--delta", "2", "--k", "10",
      "--trials", "0"],
+    # options that only the trial commands read, and removed asym syntax
+    ["genus", "exact", "--fixture", "k5", "--seed", "1"],
+    ["predict", "--n", "1000", "--m", "600", "--jobs", "2"],
+    ["contiguity", "--n", "10000", "--m", "30000", "--g", "10", "--seed", "1"],
+    ["asym", "--u", "1", "--jobs", "2"],
+    ["asym", "u", "--arg", "1"],
+    ["asym", "--mc-cycle-limit", "1"],
 ])
 def test_counts_that_are_not_positive_are_usage_errors(argv) -> None:
     with pytest.raises(SystemExit) as err:
@@ -336,3 +344,22 @@ def test_version_flag() -> None:
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def test_readme_command_lines_parse() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+        for line in block.splitlines()
+        if line.startswith("genuslab ")
+    ]
+    assert lines
+    parser = _build_parser()
+    rejected = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
