@@ -142,15 +142,14 @@ def _mean(rows: list[dict], key: str) -> float:
 
 
 def _load_input_graph(ns) -> Graph:
-    fixture = getattr(ns, "fixture", None)
-    if fixture is not None:
+    if ns.fixture is not None:
         table = named_fixtures()
-        if fixture not in table:
+        if ns.fixture not in table:
             raise ValueError(
-                f"unknown fixture {fixture!r}; choose from {sorted(table)}"
+                f"unknown fixture {ns.fixture!r}; choose from {sorted(table)}"
             )
-        return table[fixture]
-    if getattr(ns, "input", None) is None:
+        return table[ns.fixture]
+    if ns.input is None:
         raise ValueError("provide --input FILE or --fixture NAME")
     return load_edge_list(ns.input)
 
@@ -159,8 +158,8 @@ def _random_tree(n: int, max_degree: int, rng: np.random.Generator) -> Graph:
     """Uniform attachment tree with every degree capped at max_degree."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if max_degree < 2 and n > 2:
-        raise ValueError("max_degree below 2 only allows paths on <= 2 vertices")
+    if max_degree < min(n - 1, 2):
+        raise ValueError(f"max_degree {max_degree} cannot span {n} vertices")
     open_slots = [0]
     degree = [0] * n
     edges = []
@@ -175,8 +174,6 @@ def _random_tree(n: int, max_degree: int, rng: np.random.Generator) -> Graph:
             open_slots.pop()
         if degree[v] < max_degree:
             open_slots.append(v)
-        if not open_slots and v < n - 1:
-            raise ValueError("degree cap exhausted before the tree was complete")
     return Graph(n, edges)
 
 
@@ -281,18 +278,21 @@ def _cmd_generate(ns) -> int:
     return 0
 
 
-def _cmd_genus(ns) -> int:
+def _cmd_genus_bounds(ns) -> int:
     G = _load_input_graph(ns)
-    if ns.mode == "bounds":
-        bounds = {
-            "lower": genus_lower_bound_short_cycles(G, ns.ell, cap=ns.cap),
-            "upper": genus_upper_bound(G),
-            "density_lower": genus_lower_bound_density(G),
-        }
-        payload = {"bounds": bounds, "ell": ns.ell, "n": G.n, "m": G.m}
-        _emit(ns, [payload], payload,
-              table=[{"n": G.n, "m": G.m, "ell": ns.ell, **bounds}])
-        return 0
+    bounds = {
+        "lower": genus_lower_bound_short_cycles(G, ns.ell, cap=ns.cap),
+        "upper": genus_upper_bound(G),
+        "density_lower": genus_lower_bound_density(G),
+    }
+    payload = {"bounds": bounds, "ell": ns.ell, "n": G.n, "m": G.m}
+    _emit(ns, [payload], payload,
+          table=[{"n": G.n, "m": G.m, "ell": ns.ell, **bounds}])
+    return 0
+
+
+def _cmd_genus_exact(ns) -> int:
+    G = _load_input_graph(ns)
     result = exact_genus(G, node_budget=ns.budget)
     payload = {
         "genus": result.genus,
@@ -430,7 +430,6 @@ def _cmd_fragile(ns) -> int:
     summary = {
         "trials": len(rows),
         "mean_t": _mean(rows, "t"),
-        "mean_good_edges": _mean(rows, "good_edge_count"),
         "mean_gamma_edges": _mean(rows, "gamma_edges"),
         "mean_genus_lower_gamma": _mean(rows, "genus_lower_gamma"),
         "positive_lower_fraction":
@@ -446,33 +445,26 @@ def _suite_asymptotics(ns) -> list[dict]:
 
 
 def _suite_mc_kappa(ns) -> list[dict]:
-    n = 100_000 if ns.n is None else ns.n
-    trials = 10 if ns.trials is None else ns.trials
-    tasks = _kappa_tasks(n, KAPPA_LAMBDAS, trials, ns.seed)
+    tasks = _kappa_tasks(ns.n, KAPPA_LAMBDAS, ns.trials, ns.seed)
     rows, _ = _run_trials(_kappa_trial, tasks, ns.jobs)
     deviations = {
-        lam: [r["abs_deviation"] for r in rows[li * trials:(li + 1) * trials]]
+        lam: [r["abs_deviation"] for r in rows[li * ns.trials:(li + 1) * ns.trials]]
         for li, lam in enumerate(KAPPA_LAMBDAS)
     }
     return kappa_checks(deviations)
 
 
 def _suite_supercritical(ns) -> list[dict]:
-    n = 1_000_000 if ns.n is None else ns.n
-    trials = 10 if ns.trials is None else ns.trials
-    s = int(round(n**0.75)) if ns.s is None else ns.s
-    tasks = [(n, s, {}, ns.seed, i) for i in range(trials)]
+    s = int(round(ns.n**0.75)) if ns.s is None else ns.s
+    tasks = [(ns.n, s, {}, ns.seed, i) for i in range(ns.trials)]
     reports, _ = _run_trials(_census_trial, tasks, ns.jobs)
     return core_excess_checks(reports) + genus_upper_checks(reports)
 
 
 def _suite_fragile(ns) -> list[dict]:
-    n = 100_000 if ns.n is None else ns.n
-    trials = 10 if ns.trials is None else ns.trials
-    k = 5000 if ns.k is None else ns.k
-    tasks = [(None, "path", n, 2, k, 3, ns.seed, i) for i in range(trials)]
+    tasks = [(None, "path", ns.n, 2, ns.k, 3, ns.seed, i) for i in range(ns.trials)]
     reports, _ = _run_trials(_fragile_trial, tasks, ns.jobs)
-    return fragile_checks(reports, n, k, 2)
+    return fragile_checks(reports, ns.n, ns.k, 2)
 
 
 def _suite_oracle(ns) -> list[dict]:
@@ -480,18 +472,20 @@ def _suite_oracle(ns) -> list[dict]:
     return oracle_checks({name: exact_genus(fixtures[name]) for name in ORACLE_EXPECTED})
 
 
+# suite: (function, its count options with their defaults; s=None is n^(3/4))
 _SUITES = {
-    "asymptotics": _suite_asymptotics,
-    "mc-kappa": _suite_mc_kappa,
-    "supercritical": _suite_supercritical,
-    "fragile": _suite_fragile,
-    "oracle": _suite_oracle,
+    "asymptotics": (_suite_asymptotics, {}),
+    "mc-kappa": (_suite_mc_kappa, {"n": 100_000, "trials": 10}),
+    "supercritical": (_suite_supercritical, {"n": 1_000_000, "s": None, "trials": 10}),
+    "fragile": (_suite_fragile, {"n": 100_000, "k": 5000, "trials": 10}),
+    "oracle": (_suite_oracle, {}),
 }
 
 
 def _cmd_suite(ns) -> int:
     t0 = time.perf_counter()
-    checks = _SUITES[ns.name](ns)
+    suite, _ = _SUITES[ns.name]
+    checks = suite(ns)
     passed = all(c["passed"] for c in checks)
     summary = {
         "suite": ns.name,
@@ -513,7 +507,7 @@ def _config_of(ns) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the count arguments: trials and sample sizes."""
+    """argparse type of the count arguments: trials, sample sizes and jobs."""
     try:
         value = int(text)
     except ValueError:
@@ -532,7 +526,7 @@ def _add_output(p, default_format="json") -> None:
 def _add_trials(p) -> None:
     """The options of the commands that draw random trials."""
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for trial fan-out (default 1)")
 
 
@@ -558,19 +552,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("genus", help="exact genus or bounds of a graph")
-    p.add_argument("mode", choices=("exact", "bounds"))
-    p.add_argument("--input", default=None, help="edge list file")
-    p.add_argument("--fixture", default=None, help="named bundled fixture")
-    p.add_argument("--budget", type=int, default=50_000_000,
-                   help="rotation search node budget (exact mode)")
-    p.add_argument("--ell", type=int, default=4,
-                   help="cycle census length for the lower bound (bounds mode)")
-    p.add_argument("--cap", type=int, default=CYCLE_CAP,
-                   help="most cycles the census may enumerate (bounds mode)")
-    p.add_argument("--faces", action="store_true",
+    genus_sub = p.add_subparsers(dest="mode", required=True)
+    q = genus_sub.add_parser("exact", help="minimum genus by rotation search")
+    q.add_argument("--budget", type=int, default=50_000_000,
+                   help="rotation search node budget")
+    q.add_argument("--faces", action="store_true",
                    help="include the face walks of a minimum-genus rotation")
-    _add_output(p)
-    p.set_defaults(func=_cmd_genus)
+    q.set_defaults(func=_cmd_genus_exact)
+    q = genus_sub.add_parser("bounds", help="Euler lower and upper bounds")
+    q.add_argument("--ell", type=int, default=4,
+                   help="cycle census length for the lower bound")
+    q.add_argument("--cap", type=int, default=CYCLE_CAP,
+                   help="most cycles the census may enumerate")
+    q.set_defaults(func=_cmd_genus_bounds)
+    for q in genus_sub.choices.values():
+        q.add_argument("--input", default=None, help="edge list file")
+        q.add_argument("--fixture", default=None, help="named bundled fixture")
+        _add_output(q)
 
     p = sub.add_parser("asym", help="evaluate the asymptotic functions")
     p.add_argument("--u", type=float, nargs="+", default=None,
@@ -655,14 +653,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fragile)
 
     p = sub.add_parser("suite", help="run a named acceptance suite")
-    p.add_argument("name", choices=tuple(sorted(_SUITES)))
-    p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--s", type=_positive_int, default=None)
-    p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    _add_output(p)
-    _add_trials(p)
-    p.set_defaults(func=_cmd_suite)
+    suite_sub = p.add_subparsers(dest="name", required=True)
+    for name, (_, counts) in sorted(_SUITES.items()):
+        # without abbreviations --s cannot stand for --seed where s is no option
+        q = suite_sub.add_parser(name, allow_abbrev=False)
+        for option, default in counts.items():
+            q.add_argument(f"--{option}", type=_positive_int, default=default)
+        _add_output(q)
+        if counts:
+            _add_trials(q)
+        q.set_defaults(func=_cmd_suite)
 
     return parser
 

@@ -65,6 +65,7 @@ def test_genus_bounds_shape(capsys) -> None:
     assert bounds["lower"] <= 1 <= bounds["upper"]
     assert bounds["density_lower"] <= bounds["upper"]
     assert doc["summary"]["ell"] == 3
+    assert not {"budget", "faces"} & set(doc["config"])
 
 
 def test_genus_bounds_cycle_budget_exits_one(capsys) -> None:
@@ -293,6 +294,7 @@ def test_suite_oracle_passes(capsys) -> None:
     rc, doc = _run_json(capsys, ["suite", "oracle"])
     assert rc == 0
     assert doc["summary"]["passed"] is True
+    assert set(doc["config"]) == {"command", "format", "name", "out"}
 
 
 @pytest.mark.parametrize("argv, checks", [
@@ -327,11 +329,26 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
     ["asym", "--u", "1", "--jobs", "2"],
     ["asym", "u", "--arg", "1"],
     ["asym", "--mc-cycle-limit", "1"],
+    # options that only the other genus mode or another suite reads
+    ["genus", "exact", "--fixture", "k5", "--ell", "9"],
+    ["genus", "exact", "--fixture", "k5", "--cap", "1"],
+    ["genus", "bounds", "--fixture", "k5", "--budget", "5"],
+    ["genus", "bounds", "--fixture", "k5", "--faces"],
+    ["suite", "oracle", "--n", "5"],
+    ["suite", "asymptotics", "--seed", "1"],
+    ["suite", "mc-kappa", "--k", "3"],
+    ["suite", "supercritical", "--k", "3"],
+    ["suite", "fragile", "--s", "3"],
+    ["mc", "kappa", "--n", "500", "--trials", "1", "--jobs", "0"],
+    # a degree cap that no tree on the vertices meets
+    ["generate", "--model", "random-tree", "--n", "2", "--delta", "0"],
 ])
 def test_counts_that_are_not_positive_are_usage_errors(argv) -> None:
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    assert code == 2
 
 
 def test_unknown_suite_is_a_usage_error() -> None:
