@@ -142,16 +142,9 @@ def _mean(rows: list[dict], key: str) -> float:
 
 
 def _load_input_graph(ns) -> Graph:
-    if ns.fixture is not None:
-        table = named_fixtures()
-        if ns.fixture not in table:
-            raise ValueError(
-                f"unknown fixture {ns.fixture!r}; choose from {sorted(table)}"
-            )
-        return table[ns.fixture]
-    if ns.input is None:
-        raise ValueError("provide --input FILE or --fixture NAME")
-    return load_edge_list(ns.input)
+    if ns.input is not None:
+        return load_edge_list(ns.input)
+    return named_fixtures()[ns.fixture]
 
 
 def _random_tree(n: int, max_degree: int, rng: np.random.Generator) -> Graph:
@@ -177,17 +170,34 @@ def _random_tree(n: int, max_degree: int, rng: np.random.Generator) -> Graph:
     return Graph(n, edges)
 
 
-def _build_base(kind: str, n: int, delta: int, seed) -> Graph:
-    if kind == "path":
-        return path_graph(n)
-    if kind == "cycle":
-        return cycle_graph(n)
-    if kind == "grid":
-        rows = max(1, math.isqrt(n))
-        return grid_graph(rows, max(1, n // rows))
-    if kind == "random-tree":
-        return _random_tree(n, delta, trial_rng(seed, 0))
-    raise ValueError(f"unknown base graph kind {kind!r}")
+# model: (builder, the options it reads, in the builder's argument order)
+_MODELS = {
+    "gnm": (lambda n, m, seed: gnm(n, m, trial_rng(seed, 0)), ("n", "m", "seed")),
+    "gnp": (lambda n, p, seed: gnp(n, p, trial_rng(seed, 0)), ("n", "p", "seed")),
+    "random-tree": (lambda n, delta, seed: _random_tree(n, delta, trial_rng(seed, 0)),
+                    ("n", "delta", "seed")),
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "grid": (lambda n: grid_graph(math.isqrt(n), n // max(1, math.isqrt(n))), ("n",)),
+    "hypercube": (hypercube_graph, ("dim",)),
+}
+# generate option: its argparse keywords
+_MODEL_OPTIONS = {
+    "n": {"type": int, "required": True},
+    "m": {"type": int, "required": True},
+    "p": {"type": float, "required": True},
+    "delta": {"type": int, "default": 3, "help": "degree cap"},
+    "seed": {"type": int, "default": 0},
+    "dim": {"type": int, "required": True, "help": "hypercube dimension"},
+}
+_BASES = ("path", "cycle", "grid", "random-tree")
+_GRID_N_HELP = "grid builds isqrt(n) * (n // isqrt(n)) vertices, so n = 10 gives 9"
+
+
+def _build(model: str, values: dict) -> Graph:
+    build, options = _MODELS[model]
+    return build(*(values[option] for option in options))
 
 
 # the trials of one fragile run share their base graph
@@ -196,7 +206,7 @@ def _fragile_base(path: str | None, kind: str, n: int, delta: int, seed) -> Grap
     """The edge list at path, or else the built-in base graph kind on n vertices."""
     if path is not None:
         return load_edge_list(path)
-    return _build_base(kind, n, delta, seed)
+    return _build(kind, {"n": n, "delta": delta, "seed": seed})
 
 
 # workers are module level so process pools can pickle them
@@ -260,21 +270,7 @@ def _curve_point(task) -> tuple[dict, float]:
 
 
 def _cmd_generate(ns) -> int:
-    if ns.model == "gnm":
-        if ns.m is None:
-            raise ValueError("gnm needs --m")
-        G = gnm(ns.n, ns.m, trial_rng(ns.seed, 0))
-    elif ns.model == "gnp":
-        if ns.p is None:
-            raise ValueError("gnp needs --p")
-        G = gnp(ns.n, ns.p, trial_rng(ns.seed, 0))
-    elif ns.model == "complete":
-        G = complete_graph(ns.n)
-    elif ns.model == "hypercube":
-        G = hypercube_graph(ns.n)
-    else:
-        G = _build_base(ns.model, ns.n, ns.delta, ns.seed)
-    _write_text(format_edge_list(G), ns.out)
+    _write_text(format_edge_list(_build(ns.model, vars(ns))), ns.out)
     return 0
 
 
@@ -416,10 +412,8 @@ def _cmd_curve(ns) -> int:
 def _cmd_fragile(ns) -> int:
     # the file may have been rewritten since an earlier call in this process
     _fragile_base.cache_clear()
-    if ns.input is None and ns.base is None:
-        raise ValueError("provide --input FILE or --base KIND --n N")
-    if ns.input is None and ns.n is None:
-        raise ValueError("--base needs --n")
+    if (ns.base is None) != (ns.n is None):
+        raise ValueError("--n goes with --base, and --base needs it")
     tasks = [(ns.input, ns.base, ns.n, ns.delta, ns.k, ns.ell, ns.seed, i)
              for i in range(ns.trials)]
     reports, seconds = _run_trials(_fragile_trial, tasks, ns.jobs)
@@ -530,8 +524,14 @@ def _add_trials(p) -> None:
                    help="worker processes for trial fan-out (default 1)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options (--s is never --seed), here or in its sub-parsers."""
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genuslab",
         description="Genus bounds and sparse random graph experiments.",
     )
@@ -539,17 +539,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a graph as an edge list")
-    p.add_argument("--model", required=True,
-                   choices=("gnm", "gnp", "path", "cycle", "grid", "complete",
-                            "hypercube", "random-tree"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--delta", type=int, default=3,
-                   help="degree cap for random-tree")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_generate)
+    model_sub = p.add_subparsers(dest="model", required=True)
+    for model, (_, options) in _MODELS.items():
+        q = model_sub.add_parser(model)
+        for option in options:
+            spec = _MODEL_OPTIONS[option]
+            if model == "grid":
+                spec = {**spec, "help": f"vertex count; {_GRID_N_HELP}"}
+            q.add_argument(f"--{option}", **spec)
+        q.add_argument("--out", default=None)
+        q.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("genus", help="exact genus or bounds of a graph")
     genus_sub = p.add_subparsers(dest="mode", required=True)
@@ -566,8 +565,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most cycles the census may enumerate")
     q.set_defaults(func=_cmd_genus_bounds)
     for q in genus_sub.choices.values():
-        q.add_argument("--input", default=None, help="edge list file")
-        q.add_argument("--fixture", default=None, help="named bundled fixture")
+        source = q.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", default=None, help="edge list file")
+        source.add_argument("--fixture", choices=sorted(named_fixtures()),
+                            help="named bundled fixture")
         _add_output(q)
 
     p = sub.add_parser("asym", help="evaluate the asymptotic functions")
@@ -635,12 +636,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("fragile", help="random perturbation genus experiment")
-    p.add_argument("--input", default=None, help="base graph edge list")
-    p.add_argument("--base", default=None,
-                   choices=("path", "cycle", "grid", "random-tree"),
-                   help="built-in base graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", default=None, help="base graph edge list")
+    source.add_argument("--base", default=None, choices=_BASES,
+                        help="built-in base graph")
     p.add_argument("--n", type=int, default=None,
-                   help="vertex count for --base")
+                   help=f"vertex count for --base; {_GRID_N_HELP}")
     p.add_argument("--delta", type=int, required=True,
                    help="maximum degree of the base graph")
     p.add_argument("--k", type=int, required=True,
@@ -655,8 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named acceptance suite")
     suite_sub = p.add_subparsers(dest="name", required=True)
     for name, (_, counts) in sorted(_SUITES.items()):
-        # without abbreviations --s cannot stand for --seed where s is no option
-        q = suite_sub.add_parser(name, allow_abbrev=False)
+        q = suite_sub.add_parser(name)
         for option, default in counts.items():
             q.add_argument(f"--{option}", type=_positive_int, default=default)
         _add_output(q)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import shlex
@@ -11,8 +12,17 @@ import scipy
 
 import genuslab.cli
 from genuslab import component_fraction, cycle_count_limit, genus_per_edge
-from genuslab.cli import OUT_DIR_ENV, _build_parser, main
-from genuslab.graphs import format_edge_list, load_edge_list, path_graph
+from genuslab.cli import OUT_DIR_ENV, _build_parser, _random_tree, main
+from genuslab.graphs import (
+    complete_graph,
+    cycle_graph,
+    format_edge_list,
+    grid_graph,
+    hypercube_graph,
+    load_edge_list,
+    path_graph,
+)
+from genuslab.random_models import gnm, gnp, trial_rng
 
 
 def _run_json(capsys, argv: list[str]) -> tuple[int, dict]:
@@ -102,8 +112,8 @@ def test_csv_header(capsys, argv, header) -> None:
 
 def test_generate_then_bounds_round_trip(tmp_path, capsys) -> None:
     target = tmp_path / "g.edgelist"
-    rc = main(["generate", "--model", "gnm", "--n", "30", "--m", "40",
-               "--seed", "2", "--out", str(target)])
+    rc = main(["generate", "gnm", "--n", "30", "--m", "40", "--seed", "2",
+               "--out", str(target)])
     assert rc == 0
     header = target.read_text().splitlines()[0].split()
     assert header == ["30", "40"]
@@ -112,6 +122,26 @@ def test_generate_then_bounds_round_trip(tmp_path, capsys) -> None:
     assert rc == 0
     assert doc["summary"]["n"] == 30
     assert doc["summary"]["m"] == 40
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["gnm", "--n", "40", "--m", "60", "--seed", "7"],
+     lambda: gnm(40, 60, trial_rng(7, 0))),
+    (["gnp", "--n", "40", "--p", "0.1", "--seed", "7"],
+     lambda: gnp(40, 0.1, trial_rng(7, 0))),
+    (["random-tree", "--n", "40", "--delta", "3", "--seed", "7"],
+     lambda: _random_tree(40, 3, trial_rng(7, 0))),
+    (["random-tree", "--n", "40"], lambda: _random_tree(40, 3, trial_rng(0, 0))),
+    (["path", "--n", "7"], lambda: path_graph(7)),
+    (["cycle", "--n", "7"], lambda: cycle_graph(7)),
+    (["complete", "--n", "6"], lambda: complete_graph(6)),
+    (["grid", "--n", "10"], lambda: grid_graph(3, 3)),
+    (["grid", "--n", "0"], lambda: path_graph(0)),
+    (["hypercube", "--dim", "4"], lambda: hypercube_graph(4)),
+])
+def test_generate_prints_the_library_graph(capsys, argv, graph) -> None:
+    assert main(["generate", *argv]) == 0
+    assert capsys.readouterr().out == format_edge_list(graph())
 
 
 def test_asym_flag_form_matches_library(capsys) -> None:
@@ -340,15 +370,45 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
     ["suite", "supercritical", "--k", "3"],
     ["suite", "fragile", "--s", "3"],
     ["mc", "kappa", "--n", "500", "--trials", "1", "--jobs", "0"],
+    # abbreviations of options
+    ["mc", "kappa", "--s", "7"],
+    ["curve", "--n", "10", "--s", "7"],
+    ["fragile", "--base", "path", "--n", "400", "--delta", "2", "--k", "20",
+     "--trials", "1", "--s", "7"],
+    ["genus", "exact", "--fix", "k5"],
+    ["census", "supercritical", "--n", "3000", "--s", "500", "--tri", "2"],
+    # options that the model does not read
+    ["generate", "path", "--n", "3", "--m", "7"],
+    ["generate", "path", "--n", "3", "--seed", "4"],
+    ["generate", "gnm", "--n", "5", "--m", "3", "--p", "0.5"],
+    # two graph sources, or --n without --base
+    ["genus", "exact", "--fixture", "k5", "--input", "base.edgelist"],
+    ["fragile", "--input", "base.edgelist", "--base", "path", "--delta", "2",
+     "--k", "20", "--trials", "1"],
+    ["fragile", "--input", "base.edgelist", "--n", "5", "--delta", "2",
+     "--k", "20", "--trials", "1"],
     # a degree cap that no tree on the vertices meets
-    ["generate", "--model", "random-tree", "--n", "2", "--delta", "0"],
+    ["generate", "random-tree", "--n", "2", "--delta", "0"],
 ])
-def test_counts_that_are_not_positive_are_usage_errors(argv) -> None:
+def test_counts_that_are_not_positive_are_usage_errors(
+        argv, tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.edgelist").write_text(format_edge_list(path_graph(400)))
     try:
         code = main(argv)
     except SystemExit as err:
         code = err.code
     assert code == 2
+
+
+def test_no_parser_takes_abbreviations() -> None:
+    parsers = [_build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert "genuslab generate hypercube" in {p.prog for p in parsers}
+    assert [p.prog for p in parsers if p.allow_abbrev is not False] == []
 
 
 def test_unknown_suite_is_a_usage_error() -> None:
