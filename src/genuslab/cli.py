@@ -554,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     genus_sub = p.add_subparsers(dest="mode", required=True)
     q = genus_sub.add_parser("exact", help="minimum genus by rotation search")
     q.add_argument("--budget", type=int, default=50_000_000,
-                   help="rotation search node budget")
+                   help="search node budget, one dart placed per node")
     q.add_argument("--faces", action="store_true",
                    help="include the face walks of a minimum-genus rotation")
     q.set_defaults(func=_cmd_genus_exact)

@@ -34,7 +34,7 @@ Rotation = dict[int, tuple[int, ...]]
 
 
 class SearchBudgetError(RuntimeError):
-    """Raised when the exact search runs out of its node budget.
+    """Raised when the exact search runs out of its budget of darts placed.
 
     Carries the best rigorous bracket established before giving up.
     """
@@ -44,7 +44,7 @@ class SearchBudgetError(RuntimeError):
         self.upper_bound = upper_bound
         self.nodes_explored = nodes_explored
         super().__init__(
-            f"genus search budget exhausted after {nodes_explored} search nodes; "
+            f"genus search budget exhausted after placing {nodes_explored} darts; "
             f"genus is in [{lower_bound}, {upper_bound}]"
         )
 
@@ -292,9 +292,9 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     blocks), each block is searched from its Euler girth bound upward (see
     _genus_search), and the per-block rotations are concatenated into a
     rotation system of the whole graph that realises the minimum.
-    node_budget caps the total number of search nodes (one vertex's rotation
-    fixed) across all blocks; exceeding it raises SearchBudgetError carrying
-    the bracket proved so far.
+    node_budget caps the total number of search nodes (one dart placed in a
+    vertex's rotation) across all blocks; exceeding it raises SearchBudgetError
+    carrying the bracket proved so far.
     """
     arcs: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n)]
     # per block: (log of the rotation count, Euler girth bound, cycle-rank

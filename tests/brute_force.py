@@ -335,10 +335,11 @@ def contract_reference(sets, pairs, n: int | None = None) -> tuple[int, list[tup
     return len(sets), sorted(edges)
 
 
-# Reference for genuslab._genus_search.search_block: the same search, but it
-# regenerates a vertex's rotations on every visit instead of walking a
-# per-depth table, and recounts faces and open chains at every node instead
-# of keeping them as it links darts, so both must visit the same nodes in the
+# Reference for genuslab._genus_search.search_block: the same search, one
+# dart per node in the same order, but each slot lists its darts by testing
+# every dart of its vertex against the rotation placed so far and the mirror
+# rule as stated, and every node recounts faces and open chains instead of
+# keeping them as it links darts, so both must visit the same nodes in the
 # same order.
 
 
@@ -365,19 +366,24 @@ def _vertex_order(out_darts: list[list[int]]) -> list[int]:
     return order
 
 
-def _rotations(outs: list[int], mirror_free: bool):
-    """Every cyclic order of outs, as (entering dart, successor) links.
+def _next_darts(outs: list[int], seq: list[int], mirror_free: bool):
+    """The darts that can follow seq, a prefix of a rotation of outs starting
+    at outs[0], in itertools.permutations order.
 
-    With mirror_free only one of each mirror pair is produced: reversing
-    every rotation of a system preserves its faces, so dropping reflections
-    at one vertex cannot lose the minimum.
+    With mirror_free only rotations whose last dart exceeds their second are
+    completed: reversing every rotation of a system preserves its faces, so
+    dropping reflections at one vertex cannot lose the minimum.  A dart is
+    offered only if some completion after it keeps that rule.
     """
-    first = outs[0]
-    for rest in permutations(outs[1:]):
-        if mirror_free and len(rest) > 1 and rest[0] > rest[-1]:
+    for x in outs[1:]:
+        if x in seq:
             continue
-        seq = (first,) + rest
-        yield [(seq[i - 1] ^ 1, seq[i]) for i in range(len(seq))]
+        if mirror_free:
+            second = seq[1] if len(seq) > 1 else x
+            after = [y for y in outs[1:] if y not in seq and y != x]
+            if max(after, default=x) < second:
+                continue
+        yield x
 
 
 def _chain_census(succ: list[int], girth: int) -> tuple[int, int, int]:
@@ -425,52 +431,58 @@ def search_block_reference(
 
     out_darts[v] lists the darts leaving vertex v.  Returns (lower, upper,
     rotation, nodes): rotation[v] is a cyclic order of v's outgoing darts,
-    and the embedding it gives has genus upper.  When the search finishes,
-    lower == upper is the minimum genus.  When the node budget runs out,
-    lower is the lowest genus not yet refuted, and the search spends at most
-    one node per vertex more on completing its current branch to get upper.
+    and the embedding it gives has genus upper.  A node places one dart.
+    When the search finishes, lower == upper is the minimum genus.  When the
+    node budget runs out, lower is the lowest genus not yet refuted, and the
+    search spends at most one node per slot more on completing its current
+    branch to get upper.
 
-    Each node recounts its closed faces and open chains with _chain_census
-    and is pruned unless closed + long + short_darts // girth reaches the
-    target: every face still to close is a union of open chains and has at
-    least girth darts.
+    Vertex v has a slot for each of its darts after out_darts[v][0].  Each
+    node recounts its closed faces and open chains with _chain_census and is
+    pruned unless closed + long + short_darts // girth reaches the target:
+    every face still to close is a union of open chains and has at least
+    girth darts.
     """
     nv = len(out_darts)
     nd = sum(len(o) for o in out_darts)
     order = _vertex_order(out_darts)
+    slots = [(v, i) for v in order for i in range(1, len(out_darts[v]))]
 
     # drop mirror images at the first vertex that has a choice
     first_choice = sum(len(o) == 2 for o in out_darts)
+    mirror = order[first_choice] if first_choice < nv else -1
     nodes = 0
     while True:
         target = nd // 2 - nv + 2 - 2 * genus
         succ = [-1] * nd
-        choices = [None] * nv
-        links = [None] * nv
+        seq = [[outs[0]] for outs in out_darts]  # each vertex's rotation so far
+        choices = [None] * len(slots)
         k = 0
-        choices[0] = _rotations(out_darts[order[0]], first_choice == 0)
+        choices[0] = _next_darts(out_darts[order[0]], seq[order[0]], order[0] == mirror)
         while k >= 0:
-            if links[k] is not None:  # undo the previous order at depth k
-                for d, _ in links[k]:
-                    succ[d] = -1
-                links[k] = None
-            cur = next(choices[k], None)
-            if cur is None:
+            v, i = slots[k]
+            last = i == len(out_darts[v]) - 1
+            if len(seq[v]) > i:  # undo the dart placed at slot k
+                e = seq[v].pop()
+                succ[seq[v][-1] ^ 1] = -1
+                if last:
+                    succ[e ^ 1] = -1
+            e = next(choices[k], None)
+            if e is None:
                 k -= 1
                 continue
-            for d, e in cur:
-                succ[d] = e
-            links[k] = cur
+            succ[seq[v][-1] ^ 1] = e
+            seq[v].append(e)
+            if last:
+                succ[e ^ 1] = seq[v][0]
             nodes += 1
             closed, long_chains, short_darts = _chain_census(succ, girth)
             if closed + long_chains + short_darts // girth >= target:
-                if k == nv - 1:
-                    rotation = [[] for _ in range(nv)]
-                    for v, cur in zip(order, links):
-                        rotation[v] = [e for _, e in cur]
-                    return genus, (nd // 2 - nv + 2 - closed) // 2, rotation, nodes
+                if k == len(slots) - 1:
+                    return genus, (nd // 2 - nv + 2 - closed) // 2, seq, nodes
                 k += 1
-                choices[k] = _rotations(out_darts[order[k]], k == first_choice)
+                u = slots[k][0]
+                choices[k] = _next_darts(out_darts[u], seq[u], u == mirror)
             if nodes >= budget:
                 target = 0  # every branch passes: dive to the nearest leaf
         genus += 1
