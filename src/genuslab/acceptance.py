@@ -4,7 +4,8 @@ Every check is a pure function of results its caller has already computed
 and returns rows {"name", "passed", "detail"}.  `genuslab suite NAME` and
 tests/test_acceptance.py run the same checks on trials drawn from their own
 seeds; the callers own the trials and any wall-clock gate, this module owns
-every threshold.
+every threshold.  The named fixtures live here too, beside ORACLE_EXPECTED,
+the table of their known genus and face counts.
 """
 
 from __future__ import annotations
@@ -13,12 +14,45 @@ from collections.abc import Mapping, Sequence
 
 from .asymptotics import component_fraction, component_fraction_derivative, genus_per_edge
 from .census import SupercriticalReport, predicted_core_excess
-from .corpus import named_fixtures
 from .embeddings import GenusResult, genus_lower_bound_density
 from .fragile import FragileReport
+from .graphs import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+)
 
 # edge densities lambda (m = lambda*n) of the component-count check
 KAPPA_LAMBDAS = (0.25, 0.5, 1.0, 2.0)
+
+
+def named_fixtures() -> dict[str, Graph]:
+    """The classical small graphs behind `--fixture` and the oracle suite."""
+    petersen = (
+        [(i, (i + 1) % 5) for i in range(5)]  # outer five-cycle
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]  # inner pentagram
+        + [(i, 5 + i) for i in range(5)]  # spokes
+    )
+    return {
+        "k4": complete_graph(4),
+        "k5": complete_graph(5),
+        "k5_minus_edge": Graph(5, [e for e in complete_graph(5).edge_list() if e != (0, 1)]),
+        "k6": complete_graph(6),
+        "k33": complete_bipartite_graph(3, 3),
+        "c5": cycle_graph(5),
+        # the five-cycle plus the chord 0-2: planar with three faces
+        "c5_chord": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+        "q3": hypercube_graph(3),
+        # two degree-3 vertices joined by three internally disjoint
+        # two-edge paths
+        "theta": Graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]),
+        "petersen": Graph(10, petersen),
+        # the square 0-1-2-3 with the pendant edge 3-4
+        "pendant_square": Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]),
+    }
+
 
 # named fixture -> (genus, face count of a minimum-genus embedding)
 ORACLE_EXPECTED = {

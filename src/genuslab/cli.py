@@ -38,6 +38,7 @@ from .acceptance import (
     genus_per_edge_checks,
     genus_upper_checks,
     kappa_checks,
+    named_fixtures,
     oracle_checks,
     subcritical_identity_checks,
 )
@@ -48,7 +49,6 @@ from .asymptotics import (
     genus_per_edge,
 )
 from .census import SupercriticalReport, predicted_core_excess, supercritical_report
-from .corpus import named_fixtures
 from .embeddings import (
     SearchBudgetError,
     exact_genus,

@@ -23,8 +23,8 @@ from genuslab import (
     supercritical_report,
     two_core,
 )
-from genuslab.corpus import census_showcase
 from brute_force import brute_classify
+from showcases import census_showcase
 
 
 def test_classify_pendant_tree() -> None:

@@ -11,7 +11,14 @@ import pytest
 import scipy
 
 import genuslab.cli
-from genuslab import component_fraction, cycle_count_limit, genus_per_edge
+from genuslab import (
+    CycleBudgetError,
+    component_fraction,
+    cycle_count_limit,
+    genus_lower_bound_density,
+    genus_lower_bound_short_cycles,
+    genus_per_edge,
+)
 from genuslab.cli import OUT_DIR_ENV, _build_parser, _random_tree, main
 from genuslab.graphs import (
     complete_graph,
@@ -253,6 +260,17 @@ def test_curve_header_is_stable(tmp_path) -> None:
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "m,lower_ratio,upper_ratio,predicted_ratio"
     assert len(lines) == 4
+
+
+def test_curve_falls_back_to_the_density_bound_past_the_cycle_budget(capsys) -> None:
+    # the census of this dense point passes the curve's 200,000-cycle cap
+    g = gnm(300, 20000, trial_rng(0, 0))
+    with pytest.raises(CycleBudgetError):
+        genus_lower_bound_short_cycles(g, 4, cap=200_000)
+    rc, doc = _run_json(capsys, ["curve", "--n", "300", "--m", "20000", "--format", "json"])
+    assert rc == 0
+    assert genus_lower_bound_density(g) == 3185  # ceil((m - 3n + 6) / 6)
+    assert doc["rows"][0]["lower_ratio"] == 3185 / 20000
 
 
 def test_curve_default_grid_fits_small_graphs(capsys) -> None:

@@ -17,7 +17,7 @@ from genuslab import (
     trace_faces,
     validate_rotation,
 )
-from genuslab.corpus import pendant_square
+from showcases import pendant_square
 
 
 def test_rotation_validation() -> None:

@@ -30,8 +30,8 @@ from genuslab import (
     uniform_pairs,
 )
 from genuslab import fragile
-from genuslab.corpus import amplification_showcase
 from brute_force import bfs_cores, bfs_pieces, contract_reference, nx_density_bound
+from showcases import amplification_showcase
 
 
 def _random_bounded_tree(n: int, max_degree: int, rng) -> Graph:

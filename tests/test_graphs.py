@@ -30,10 +30,11 @@ from genuslab import (
     path_graph,
     two_core,
 )
+from genuslab.acceptance import named_fixtures
 from genuslab.census import classify_cycle_neighborhood
-from genuslab.corpus import census_showcase, named_fixtures
 from genuslab.graphs import INDEX_ENTRIES, _core_degrees, _distinct, _index_dtype, _peel
 from brute_force import brute_cycles, dfs_cycles, same_csr
+from showcases import census_showcase
 
 
 def test_edges_are_canonicalized() -> None:

@@ -15,7 +15,7 @@ _PROGRAM = """
 import contextlib, io, json, sys
 import genuslab
 from genuslab import cli, exact_genus
-from genuslab.corpus import named_fixtures
+from genuslab.acceptance import named_fixtures
 
 results = {name: exact_genus(g).genus for name, g in named_fixtures().items()}
 with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -1,4 +1,5 @@
-"""Cross-module invariant sweeps over the bundled small-graph corpus."""
+"""Cross-module invariant sweeps over the small-graph corpus: the 143
+connected graphs on at most 6 vertices from networkx's graph atlas."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from genuslab import (
     two_core,
 )
 from genuslab import _genus_search
-from genuslab.corpus import named_fixtures
+from genuslab.acceptance import named_fixtures
 
 from brute_force import brute_cycles, nx_density_bound
 
@@ -61,6 +62,20 @@ def _disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, a.edge_list() + shifted)
 
 
+def test_corpus_holds_each_connected_graph_on_at_most_six_vertices_once(corpus6) -> None:
+    assert len(corpus6) == 143
+    assert [sum(g.n == n for g in corpus6) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    assert all(g.component_count == 1 for g in corpus6)
+    seen: dict[tuple[int, int], list[nx.Graph]] = {}
+    for g in corpus6:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edge_list())
+        same = seen.setdefault((g.n, g.m), [])
+        assert not any(nx.is_isomorphic(h, other) for other in same)
+        same.append(h)
+
+
 def test_two_core_is_a_fixed_point_on_the_corpus(corpus6) -> None:
     for g in corpus6:
         core = two_core(g).graph
@@ -84,9 +99,7 @@ def test_core_has_the_same_genus_on_larger_fixtures(genus_of) -> None:
 
 
 def test_adding_any_edge_never_splits_components(corpus6) -> None:
-    rng = trial_rng(515, 1)
-    picks = [corpus6[int(i)] for i in rng.choice(len(corpus6), 30)]
-    for g in picks:
+    for g in corpus6:
         edges = set(g.edge_list())
         for u in range(g.n):
             for v in range(u + 1, g.n):
