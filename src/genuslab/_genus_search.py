@@ -1,9 +1,14 @@
-"""Minimum-genus search over the rotation systems of one biconnected block.
+"""Minimum-genus search over the rotation systems of one biconnected block,
+and a linear-time planarity test that settles genus 0 without it.
 
 Darts are numbered so that edge j contributes darts 2j and 2j+1 and reversal
 is xor with 1.  The face successor of a dart d is the dart that follows
 d ^ 1 in the rotation at the head of d, so fixing the cyclic order at a
 vertex fixes the successor of every dart entering it.
+
+planar_rotation is the Left-Right planarity test.  exact_genus runs it on
+each block whose Euler girth bound is 0: a planar block takes its rotation,
+and a non-planar one is searched from genus 1.
 
 The search is depth first and places one dart per node.  It fixes the
 vertices in an order that keeps the next vertex's unfixed neighbours as few
@@ -59,6 +64,230 @@ def _vertex_order(out_darts: list[list[int]]) -> list[int]:
         for d in out_darts[v]:
             fixed_nbrs[tail[d ^ 1]] += 1
     return order
+
+
+def planar_rotation(out_darts: list[list[int]], heads: list[int]) -> list[list[int]] | None:
+    """A rotation of genus 0, in search_block's form, or None when the graph
+    is not planar.
+
+    out_darts[v] lists the darts leaving vertex v and heads[d] is the vertex
+    dart d enters.  This is the Left-Right planarity test of Brandes, "The
+    Left-Right Planarity Test" (2009), in three passes over a depth-first
+    tree, each with an explicit stack.  The first orients every edge away
+    from the root and gives it its lowpoints and nesting depth.  The second
+    visits each vertex's darts by nesting depth and keeps the return edges
+    as a stack of conflict pairs: two intervals, left and right, stored as
+    [left low, left high, right low, right high] with -1 for an empty end.
+    It fails when two conflicting intervals must sit on one side.  The
+    third resolves each dart's side along its ref chain and inserts every
+    back edge next to the tree edge it returns around.  Each pass takes
+    linear time; sorting each vertex's darts adds O(m log(max degree)).
+    """
+    nv, nd = len(out_darts), len(heads)
+    height = [-1] * nv
+    parent = [-1] * nv  # the tree dart into each vertex, -1 at a root
+    lowpt = [0] * nd
+    lowpt2 = [0] * nd
+    depth = [0] * nd  # nesting depth, then signed by side
+    up = [[] for _ in range(nv)]  # each vertex's darts as the edges are oriented
+    seen = [False] * (nd // 2)
+    roots = []
+    pos = [0] * nv
+    for r in range(nv):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            if pos[v] < len(out_darts[v]):
+                d = out_darts[v][pos[v]]
+                pos[v] += 1
+                if seen[d >> 1]:
+                    continue
+                seen[d >> 1] = True
+                up[v].append(d)
+                w = heads[d]
+                lowpt[d] = lowpt2[d] = height[v]
+                if height[w] < 0:
+                    parent[w] = d
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue
+                lowpt[d] = height[w]
+            else:
+                stack.pop()
+                d = parent[v]
+                if d < 0:
+                    continue
+                v = heads[d ^ 1]
+            # dart d out of v is finished: it passes its lowpoints to v's tree dart
+            depth[d] = 2 * lowpt[d] + (lowpt2[d] < height[v])
+            e = parent[v]
+            if e >= 0:
+                if lowpt[d] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[d])
+                    lowpt[e] = lowpt[d]
+                elif lowpt[d] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[d])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[d])
+
+    for outs in up:
+        outs.sort(key=depth.__getitem__)
+    ref = [-1] * nd
+    side = [1] * nd
+    lowpt_edge = [0] * nd
+    bottom = [None] * nd  # the conflict pair on top when each dart started
+    pairs = []
+
+    def lowest(p: list[int]) -> int:
+        return min(lowpt[x] for x in (p[0], p[2]) if x >= 0)
+
+    pos = [0] * nv
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            e = parent[v]
+            outs = up[v]
+            if pos[v] < len(outs):
+                d = outs[pos[v]]
+                pos[v] += 1
+                bottom[d] = pairs[-1] if pairs else None
+                if parent[heads[d]] == d:
+                    stack.append(heads[d])
+                    continue
+                lowpt_edge[d] = d
+                pairs.append([-1, -1, d, d])
+            else:
+                stack.pop()
+                if e < 0:
+                    continue
+                # drop the back edges that end at e's tail u
+                u = heads[e ^ 1]
+                while pairs and lowest(pairs[-1]) == height[u]:
+                    p = pairs.pop()
+                    if p[0] >= 0:
+                        side[p[0]] = -1
+                if pairs:
+                    p = pairs[-1]
+                    while p[1] >= 0 and heads[p[1]] == u:
+                        p[1] = ref[p[1]]
+                    if p[1] < 0 and p[0] >= 0:
+                        ref[p[0]] = p[2]
+                        side[p[0]] = -1
+                        p[0] = -1
+                    while p[3] >= 0 and heads[p[3]] == u:
+                        p[3] = ref[p[3]]
+                    if p[3] < 0 and p[2] >= 0:
+                        ref[p[2]] = p[0]
+                        side[p[2]] = -1
+                        p[2] = -1
+                if lowpt[e] < height[u]:  # e takes the side of a highest return edge
+                    hl, hr = pairs[-1][1], pairs[-1][3]
+                    ref[e] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
+                d, v = e, u
+                e = parent[v]
+                outs = up[v]
+            # dart d out of v is finished: merge its return edges into v's
+            if lowpt[d] >= height[v]:
+                continue
+            if d == outs[0]:
+                lowpt_edge[e] = lowpt_edge[d]
+                continue
+            p = [-1, -1, -1, -1]
+            while True:  # d's own return edges go right
+                q = pairs.pop()
+                if q[0] >= 0:
+                    q = q[2:] + q[:2]
+                if q[0] >= 0:
+                    return None
+                if lowpt[q[2]] > lowpt[e]:
+                    if p[2] < 0:
+                        p[3] = q[3]
+                    else:
+                        ref[p[2]] = q[3]
+                    p[2] = q[2]
+                else:
+                    ref[q[2]] = lowpt_edge[e]
+                if (pairs[-1] if pairs else None) is bottom[d]:
+                    break
+            # the earlier darts' return edges that conflict with d go left
+            while pairs and any(h >= 0 and lowpt[h] > lowpt[d] for h in pairs[-1][1::2]):
+                q = pairs.pop()
+                if q[3] >= 0 and lowpt[q[3]] > lowpt[d]:
+                    q = q[2:] + q[:2]
+                if q[3] >= 0 and lowpt[q[3]] > lowpt[d]:
+                    return None
+                if p[2] >= 0:
+                    ref[p[2]] = q[3]
+                if q[2] >= 0:
+                    p[2] = q[2]
+                if p[1] < 0:
+                    p[1] = q[1]
+                else:
+                    ref[p[0]] = q[1]
+                p[0] = q[0]
+            if p[1] >= 0 or p[3] >= 0:
+                pairs.append(p)
+
+    # sign each dart by its side, resolved along its ref chain
+    for outs in up:
+        for d in outs:
+            chain = []
+            x = d
+            while ref[x] >= 0:
+                chain.append(x)
+                x = ref[x]
+            s = side[x]
+            for y in reversed(chain):
+                s = side[y] = side[y] * s
+                ref[y] = -1
+            depth[d] *= side[d]
+        outs.sort(key=depth.__getitem__)
+    # each vertex's ring: its dart to the parent, then its own darts by depth
+    nxt = [0] * nd
+    prv = [0] * nd
+    for v, outs in enumerate(up):
+        ring = outs if parent[v] < 0 else [parent[v] ^ 1, *outs]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            nxt[a] = b
+            prv[b] = a
+    # insert each back edge at its head, beside the tree dart it returns around
+    left = [0] * nv
+    right = [0] * nv
+    pos = [0] * nv
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            if pos[v] == len(up[v]):
+                stack.pop()
+                continue
+            d = up[v][pos[v]]
+            pos[v] += 1
+            w = heads[d]
+            if parent[w] == d:
+                left[v] = right[v] = d
+                stack.append(w)
+                continue
+            x = d ^ 1
+            if side[d] == 1:
+                a = right[w]
+            else:
+                a = prv[left[w]]
+                left[w] = x
+            b = nxt[a]
+            nxt[a], prv[x], nxt[x], prv[b] = x, a, b, x
+    rotation = []
+    for outs in out_darts:
+        row = outs[:1]
+        for _ in outs[1:]:
+            row.append(nxt[row[-1]])
+        rotation.append(row)
+    return rotation
 
 
 def search_block(

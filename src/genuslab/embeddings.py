@@ -289,17 +289,23 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     """Minimum orientable genus by branch-and-bound search over rotation systems.
 
     The graph is split into biconnected blocks (genus is additive over
-    blocks), each block is searched from its Euler girth bound upward (see
-    _genus_search), and the per-block rotations are concatenated into a
-    rotation system of the whole graph that realises the minimum.
-    node_budget caps the total number of search nodes (one dart placed in a
-    vertex's rotation) across all blocks; exceeding it raises SearchBudgetError
-    carrying the bracket proved so far.
+    blocks).  A block whose Euler girth bound is 0 first runs the Left-Right
+    planarity test: a planar block takes the test's rotation and costs no
+    search node, and a non-planar one has its bound lifted to 1.  Every
+    other block is searched from its bound upward (see _genus_search), and
+    the per-block rotations are concatenated into a rotation system of the
+    whole graph that realises the minimum.  node_budget caps the total
+    number of search nodes (one dart placed in a vertex's rotation) across
+    all blocks; exceeding it raises SearchBudgetError carrying the bracket
+    proved so far.
     """
     arcs: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n)]
-    # per block: (log of the rotation count, Euler girth bound, cycle-rank
-    # bound, vertices, out darts, dart heads, girth)
+    # per block to search: (log of the rotation count, Euler girth bound
+    # lifted by the planarity test, cycle-rank bound, vertices, out darts,
+    # dart heads, girth)
     searchable = []
+    # per settled block: (vertices, dart heads, rotation of darts)
+    settled = []
     blocks, kappa = _biconnected_edge_blocks(graph)
     for block in blocks:
         if len(block) == 1:
@@ -316,11 +322,17 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
             out_darts[index[b]].append(2 * j + 1)
             heads[2 * j] = index[b]
             heads[2 * j + 1] = index[a]
-        space = sum(math.lgamma(len(outs)) for outs in out_darts)
         girth = _girth_upper([[heads[d] for d in outs] for outs in out_darts])
         nv, ne = len(verts), len(block)
-        searchable.append((space, _euler_lower(nv, ne, 1, girth - 1),
-                           (ne - nv + 1) // 2, verts, out_darts, heads, girth))
+        lower = _euler_lower(nv, ne, 1, girth - 1)
+        if lower == 0:
+            darts = _genus_search.planar_rotation(out_darts, heads)
+            if darts is not None:
+                settled.append((verts, heads, darts))
+                continue
+            lower = 1
+        space = sum(math.lgamma(len(outs)) for outs in out_darts)
+        searchable.append((space, lower, (ne - nv + 1) // 2, verts, out_darts, heads, girth))
     # cheap blocks first so a budget overrun brackets as tightly as possible
     searchable.sort(key=lambda t: t[0])
 
@@ -336,6 +348,8 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
                                     total_genus + hi + sum(b[2] for b in rest),
                                     total_nodes)
         total_genus += lo
+        settled.append((verts, heads, darts))
+    for verts, heads, darts in settled:
         for i, row in enumerate(darts):
             arcs[verts[i]].append(tuple(verts[heads[d]] for d in row))
 

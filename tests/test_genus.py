@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 
+import networkx as nx
 import pytest
 
 from genuslab import (
@@ -10,8 +12,10 @@ from genuslab import (
     _genus_search,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     exact_genus,
     gnm,
+    grid_graph,
     trace_faces,
     trial_rng,
     two_core,
@@ -23,6 +27,41 @@ def _wheel(rim: int) -> Graph:
     """A rim cycle on 0..rim-1, each rim vertex joined to the hub rim."""
     return Graph(rim + 1, [(i, (i + 1) % rim) for i in range(rim)]
                  + [(i, rim) for i in range(rim)])
+
+
+def _darts(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """g's out darts and dart heads in the search's form: edge j gives dart
+    2j from its first end to its second and dart 2j + 1 back."""
+    out_darts: list[list[int]] = [[] for _ in range(g.n)]
+    heads = []
+    for j, (a, b) in enumerate(g.edge_list()):
+        out_darts[a].append(2 * j)
+        out_darts[b].append(2 * j + 1)
+        heads += [b, a]
+    return out_darts, heads
+
+
+def _blocks(g: Graph, bound_zero: bool = False) -> list[tuple[list[list[int]], int]]:
+    """(out darts, girth) of each block of g with more than one edge; with
+    bound_zero, only of those whose Euler girth bound is 0.  exact_genus
+    settles these by the planarity test, or starts them at genus 1, so only
+    a direct call searches their genus-0 level."""
+    found = []
+    for edges in nx.biconnected_component_edges(nx.Graph(g.edge_list())):
+        B = nx.convert_node_labels_to_integers(nx.Graph(edges))
+        v, e, girth = B.number_of_nodes(), B.number_of_edges(), nx.girth(B)
+        if e > 1 and (not bound_zero or (e - v + 2) * girth <= 2 * e):
+            found.append((_darts(Graph(v, list(B.edges())))[0], girth))
+    return found
+
+
+def _planar_rotation(g: Graph):
+    """The planarity test's rotation of g, by neighbours, or None."""
+    out_darts, heads = _darts(g)
+    darts = _genus_search.planar_rotation(out_darts, heads)
+    if darts is None:
+        return None
+    return {v: tuple(heads[d] for d in row) for v, row in enumerate(darts)}
 
 
 def _outcome(g: Graph, budget: int):
@@ -122,12 +161,15 @@ def test_budget_error_brackets_the_answer() -> None:
     assert 0 <= e.lower_bound <= 1 <= e.upper_bound <= 5
 
 
+# K3,3 plus an edge: Euler girth bound 0 and genus 1
+K33_PLUS_EDGE = Graph(6, [(0, 1), (0, 3), (1, 3), (2, 3), (0, 4),
+                          (1, 4), (2, 4), (0, 5), (1, 5), (2, 5)])
+
+
 def test_every_budget_brackets_the_answer(fixtures) -> None:
     graphs = {name: fixtures[name]
               for name in ("k5", "k5_minus_edge", "k33", "q3", "petersen")}
-    # K3,3 plus an edge: Euler girth bound 0, genus 1, so a level is refuted
-    graphs["k33_plus_edge"] = Graph(6, [(0, 1), (0, 3), (1, 3), (2, 3), (0, 4),
-                                        (1, 4), (2, 4), (0, 5), (1, 5), (2, 5)])
+    graphs["k33_plus_edge"] = K33_PLUS_EDGE
     for name, g in graphs.items():
         full = exact_genus(g)
         for budget in range(1, full.nodes_explored):
@@ -141,6 +183,20 @@ def test_every_budget_brackets_the_answer(fixtures) -> None:
             # the budget plus at most one dive to a leaf: one dart for each
             # of the 2m - n slots, one per dart after each vertex's first
             assert budget <= nodes <= budget + 2 * g.m - g.n, (name, budget)
+
+
+def test_every_budget_brackets_a_bound_zero_block(fixtures) -> None:
+    # exact_genus settles K5 - e and Q3 by the planarity test and starts
+    # K3,3 + e at genus 1, so only a direct search from genus 0 runs out of
+    # budget on their genus-0 level, and on K3,3 + e refutes it
+    for g, genus in ((fixtures["k5_minus_edge"], 0), (fixtures["q3"], 0), (K33_PLUS_EDGE, 1)):
+        (out_darts, girth), = _blocks(g, bound_zero=True)
+        full = _genus_search.search_block(out_darts, girth, 0, 50_000_000)
+        assert full[:2] == (genus, genus)
+        for budget in range(1, full[3]):
+            lo, hi, _, nodes = _genus_search.search_block(out_darts, girth, 0, budget)
+            assert lo <= genus <= hi, (g.m, budget)
+            assert budget <= nodes <= budget + 2 * g.m - g.n, (g.m, budget)
 
 
 def test_k6_search_stays_far_below_full_enumeration() -> None:
@@ -157,9 +213,12 @@ def test_k7_settles_within_budget() -> None:
 
 
 def test_wheel_settles_within_budget() -> None:
-    # the hub's 10! rotations are pruned one dart at a time
-    res = exact_genus(_wheel(11), node_budget=20_000)
-    assert (res.genus, res.face_count) == (0, 12)
+    # exact_genus takes the planarity test's rotation; the search, run
+    # directly, prunes the hub's 10! rotations one dart at a time
+    res = exact_genus(_wheel(11), node_budget=1)
+    assert (res.genus, res.face_count, res.nodes_explored) == (0, 12, 0)
+    out_darts, _ = _darts(_wheel(11))
+    assert _genus_search.search_block(out_darts, 3, 0, 20_000)[:2] == (0, 0)
 
 
 def test_exact_genus_matches_brute_force(fixtures, corpus6) -> None:
@@ -198,29 +257,94 @@ def test_planarity_agrees_with_networkx() -> None:
         assert trace_faces(g, res.rotation).genus == res.genus
 
 
+def test_planarity_test_matches_networkx_and_the_search() -> None:
+    # every atlas graph with an edge, and the largest block of gnm graphs
+    # until 200 of them have 8 to 60 vertices
+    graphs = [Graph(a.number_of_nodes(), list(a.edges()))
+              for a in nx.graph_atlas_g() if a.number_of_edges()]
+    rng = trial_rng(2009, 1)
+    drawn = 0
+    while drawn < 200:
+        n = int(rng.integers(8, 61))
+        g = gnm(n, n + int(rng.integers(1, n + 1)), rng)
+        edges = max(nx.biconnected_component_edges(nx.Graph(g.edge_list())), key=len)
+        block = nx.convert_node_labels_to_integers(nx.Graph(edges))
+        if block.number_of_nodes() >= 8:
+            graphs.append(Graph(block.number_of_nodes(), list(block.edges())))
+            drawn += 1
+    planar = refuted = 0
+    for g in graphs:
+        h = nx.Graph(g.edge_list())
+        rotation = _planar_rotation(g)
+        assert (rotation is not None) == nx.check_planarity(h)[0], g.edge_list()
+        if rotation is not None:
+            assert trace_faces(g, rotation).genus == 0
+            planar += 1
+        elif g.n <= 9:
+            # some block has no genus-0 rotation, by exhausting that level
+            assert any(_genus_search.search_block(out, girth, 0, 10**6)[0] >= 1
+                       for out, girth in _blocks(g)), g.edge_list()
+            refuted += 1
+    assert planar > 1000 and refuted > 200, (planar, refuted)
+
+
+def test_planarity_test_runs_in_linear_time_without_recursion() -> None:
+    cycle = cycle_graph(5000)
+    rotation = _planar_rotation(cycle)
+    assert rotation is not None and trace_faces(cycle, rotation).genus == 0
+    seconds = []
+    for side in (50, 100):
+        out_darts, heads = _darts(grid_graph(side, side))
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert _genus_search.planar_rotation(out_darts, heads) is not None
+            best = min(best, time.perf_counter() - start)
+        seconds.append(best)
+    # four times the vertices: about four times the time, not sixteen
+    assert seconds[1] < 8 * seconds[0], seconds
+
+
 def test_search_matches_the_reference_kernel(monkeypatch, fixtures, corpus6) -> None:
     full = 50_000_000
-    cases = [(g, full) for g in [*fixtures.values(), *corpus6, complete_bipartite_graph(3, 7)]]
+    graphs = [*fixtures.values(), *corpus6, complete_bipartite_graph(3, 7)]
+    cases = [(g, full) for g in graphs]
     for name in ("k5", "petersen"):
         g = fixtures[name]
         cases += [(g, b) for b in range(1, exact_genus(g).nodes_explored + 1)]
     # K7 settles only after about 60,000 nodes, so it runs on a budget too,
-    # as do K9 and W11, whose hub has degree 11
-    cases += [(complete_graph(7), 20_000), (complete_graph(9), 20_000), (_wheel(11), 20_000)]
+    # as does K9
+    cases += [(complete_graph(7), 20_000), (complete_graph(9), 20_000)]
+    # blocks of Euler girth bound 0 reach the search only when called
+    # directly: every such block from genus 0, K3,3 + e on every budget up
+    # to its refuted level, and W11, whose hub has degree 11, on a budget
+    blocks = [(out, girth, full) for g in graphs for out, girth in _blocks(g, bound_zero=True)]
+    (out, girth), = _blocks(K33_PLUS_EDGE, bound_zero=True)
+    nodes = _genus_search.search_block(out, girth, 0, full)[3]
+    blocks += [(out, girth, b) for b in range(1, nodes + 1)]
+    blocks.append((*_blocks(_wheel(11), bound_zero=True)[0], 20_000))
     got = [_outcome(g, b) for g, b in cases]
+    searched = [_genus_search.search_block(out, girth, 0, b) for out, girth, b in blocks]
+    assert {lo for lo, hi, _, _ in searched if lo == hi} == {0, 1}
     monkeypatch.setattr(_genus_search, "search_block", search_block_reference)
     for (g, b), result in zip(cases, got):
         assert result == _outcome(g, b), (g.edge_list(), b)
+    for (out, girth, b), result in zip(blocks, searched):
+        assert result == search_block_reference(out, girth, 0, b), (out, b)
 
 
 def test_search_memory_stays_bounded() -> None:
     # a table of rotations would hold all 7! orders of each K9 vertex, and
-    # one for W11's hub would grow with the search
-    for g, budget, limit_mb in ((complete_graph(9), 20_000, 8), (_wheel(11), 50_000, 1)):
+    # one for W11's hub would grow with the search; exact_genus settles W11
+    # by the planarity test, so its block is searched directly
+    (w11, girth), = _blocks(_wheel(11), bound_zero=True)
+    runs = ((lambda: _outcome(complete_graph(9), 20_000), 8),
+            (lambda: _genus_search.search_block(w11, girth, 0, 50_000), 1))
+    for run, limit_mb in runs:
         tracemalloc.start()
         try:
-            _outcome(g, budget)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit_mb * 2**20, (g.n, peak)
+        assert peak < limit_mb * 2**20, (limit_mb, peak)
