@@ -9,7 +9,6 @@ from .graphs import (
     bfs_tree,
     complete_bipartite_graph,
     complete_graph,
-    contract_sets,
     cycle_graph,
     enumerate_cycles,
     format_edge_list,
@@ -59,7 +58,6 @@ from .census import (
     supercritical_report,
 )
 from .regimes import (
-    REGIME_NAMES,
     ContiguityVerdict,
     RegimePrediction,
     contiguity_verdict,

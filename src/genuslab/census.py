@@ -39,10 +39,10 @@ class CycleNeighborhood:
     leaf_size counts the vertices of all tree components hanging off the
     cycle by exactly one edge, and tree_components counts those components.
     good and bad count the remaining outside vertices adjacent to exactly
-    one, respectively more than one, cycle vertex.  neighbor_count, the
-    total number of outside vertices adjacent to the cycle, is
-    good + bad + tree_components, since a once-attached tree meets the cycle
-    in exactly one of its vertices.
+    one, respectively more than one, cycle vertex.  The total number of
+    outside vertices adjacent to the cycle is good + bad + tree_components,
+    since a once-attached tree meets the cycle in exactly one of its
+    vertices.
     """
 
     cycle: tuple[int, ...]
@@ -50,10 +50,6 @@ class CycleNeighborhood:
     good: int
     bad: int
     tree_components: int
-
-    @property
-    def neighbor_count(self) -> int:
-        return self.good + self.bad + self.tree_components
 
 
 def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:

@@ -126,14 +126,22 @@ def _emit(ns, rows: list[dict], summary: dict, seconds=(), *,
     _write_text(buf.getvalue(), ns.out)
 
 
-def _run_trials(worker, tasks: list, jobs: int) -> tuple[list, list[float]]:
-    """Fan a picklable worker over tasks; results come back in task order,
+def _timed(trial, index: int) -> tuple:
+    t0 = time.perf_counter()
+    out = trial(index)
+    return out, time.perf_counter() - t0
+
+
+def _run_trials(trial, count: int, jobs: int) -> tuple[list, list[float]]:
+    """Call trial(i) for i in 0..count-1, each timed where it runs; trial is
+    picklable for jobs > 1.  Results and seconds come back in index order,
     so they are independent of the job count."""
+    timed = functools.partial(_timed, trial)
     if jobs <= 1:
-        results = [worker(task) for task in tasks]
+        results = [timed(i) for i in range(count)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks))
+            results = list(pool.map(timed, range(count)))
     return [out for out, _ in results], [sec for _, sec in results]
 
 
@@ -209,16 +217,18 @@ def _fragile_base(path: str | None, kind: str, n: int, delta: int, seed) -> Grap
     return _build(kind, {"n": n, "delta": delta, "seed": seed})
 
 
-# workers are module level so process pools can pickle them
+# workers are module level so process pools can pickle their partials;
+# each takes the trial index last
 
-def _kappa_trial(task) -> tuple[dict, float]:
-    n, lam, master, index, trial = task
-    t0 = time.perf_counter()
+def _kappa_trial(n: int, lams, trials: int, master, index: int) -> dict:
+    # trial t of the li-th density draws stream li * trials + t
+    li, trial = divmod(index, trials)
+    lam = lams[li]
     m = int(math.floor(lam * n))
     G = gnm(n, m, trial_rng(master, index))
     kappa = int(G.component_count)
     predicted = component_fraction(2.0 * lam) * n
-    row = {
+    return {
         "lambda": lam,
         "trial_index": trial,
         "seed": f"{master}:{index}",
@@ -227,27 +237,20 @@ def _kappa_trial(task) -> tuple[dict, float]:
         "predicted_kappa": predicted,
         "abs_deviation": abs(kappa - predicted) / n,
     }
-    return row, time.perf_counter() - t0
 
 
-def _census_trial(task) -> tuple[SupercriticalReport, float]:
-    n, s, options, master, index = task
-    t0 = time.perf_counter()
-    rep = supercritical_report(n, s, trial_rng(master, index), **options)
-    return rep, time.perf_counter() - t0
+def _census_trial(n: int, s: int, master, index: int, **options) -> SupercriticalReport:
+    return supercritical_report(n, s, trial_rng(master, index), **options)
 
 
-def _fragile_trial(task) -> tuple[FragileReport, float]:
-    path, kind, n, delta, k, ell, master, index = task
-    t0 = time.perf_counter()
+def _fragile_trial(path, kind, n, delta: int, k: int, ell: int, master,
+                   index: int) -> FragileReport:
     H = _fragile_base(path, kind, n, delta, master)
-    rep = fragile_experiment(H, delta, k, trial_rng(master, index + 1), ell=ell)
-    return rep, time.perf_counter() - t0
+    return fragile_experiment(H, delta, k, trial_rng(master, index + 1), ell=ell)
 
 
-def _curve_point(task) -> tuple[dict, float]:
-    n, m, ell, master, index = task
-    t0 = time.perf_counter()
+def _curve_point(n: int, grid: list[int], ell: int, master, index: int) -> dict:
+    m = grid[index]
     G = gnm(n, m, trial_rng(master, index))
     try:
         lower = genus_lower_bound_short_cycles(G, ell, cap=200_000)
@@ -258,7 +261,7 @@ def _curve_point(task) -> tuple[dict, float]:
     upper = genus_upper_bound(G)
     pred = predict_genus(n, m)
     mid = 0.5 * (pred.predicted_genus[0] + pred.predicted_genus[1])
-    row = {
+    return {
         "m": m,
         "lower_ratio": lower / m if m else 0.0,
         "upper_ratio": upper / m if m else 0.0,
@@ -266,7 +269,6 @@ def _curve_point(task) -> tuple[dict, float]:
         "regime": pred.regime,
         "seed": f"{master}:{index}",
     }
-    return row, time.perf_counter() - t0
 
 
 def _cmd_generate(ns) -> int:
@@ -349,11 +351,9 @@ def _cmd_contiguity(ns) -> int:
 
 
 def _cmd_census(ns) -> int:
-    tasks = [
-        (ns.n, ns.s, {"ell": ns.ell, "a": ns.a, "cap": ns.cap}, ns.seed, i)
-        for i in range(ns.trials)
-    ]
-    reports, seconds = _run_trials(_census_trial, tasks, ns.jobs)
+    trial = functools.partial(_census_trial, ns.n, ns.s, ns.seed,
+                              ell=ns.ell, a=ns.a, cap=ns.cap)
+    reports, seconds = _run_trials(trial, ns.trials, ns.jobs)
     rows = [
         {"trial_index": i, "seed": f"{ns.seed}:{i}", **asdict(rep)}
         for i, rep in enumerate(reports)
@@ -372,15 +372,9 @@ def _cmd_census(ns) -> int:
     return 0
 
 
-def _kappa_tasks(n: int, lams, trials: int, seed) -> list[tuple]:
-    # trial t of the li-th density draws stream li * trials + t
-    return [(n, lam, seed, li * trials + t, t)
-            for li, lam in enumerate(lams) for t in range(trials)]
-
-
 def _cmd_mc_kappa(ns) -> int:
-    tasks = _kappa_tasks(ns.n, ns.lam, ns.trials, ns.seed)
-    rows, seconds = _run_trials(_kappa_trial, tasks, ns.jobs)
+    trial = functools.partial(_kappa_trial, ns.n, ns.lam, ns.trials, ns.seed)
+    rows, seconds = _run_trials(trial, len(ns.lam) * ns.trials, ns.jobs)
     summary = {
         "mean_deviation": _mean(rows, "abs_deviation"),
         "max_deviation": float(max(r["abs_deviation"] for r in rows)),
@@ -398,8 +392,8 @@ def _cmd_curve(ns) -> int:
                      1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0]
         pairs = ns.n * (ns.n - 1) // 2
         grid = sorted({min(pairs, max(1, int(round(f * ns.n)))) for f in fractions})
-    tasks = [(ns.n, m, ns.ell, ns.seed, i) for i, m in enumerate(grid)]
-    rows, seconds = _run_trials(_curve_point, tasks, ns.jobs)
+    trial = functools.partial(_curve_point, ns.n, grid, ns.ell, ns.seed)
+    rows, seconds = _run_trials(trial, len(grid), ns.jobs)
     summary = {
         "points": len(rows),
         "max_upper_ratio": float(max(r["upper_ratio"] for r in rows)),
@@ -414,9 +408,9 @@ def _cmd_fragile(ns) -> int:
     _fragile_base.cache_clear()
     if (ns.base is None) != (ns.n is None):
         raise ValueError("--n goes with --base, and --base needs it")
-    tasks = [(ns.input, ns.base, ns.n, ns.delta, ns.k, ns.ell, ns.seed, i)
-             for i in range(ns.trials)]
-    reports, seconds = _run_trials(_fragile_trial, tasks, ns.jobs)
+    trial = functools.partial(_fragile_trial, ns.input, ns.base, ns.n,
+                              ns.delta, ns.k, ns.ell, ns.seed)
+    reports, seconds = _run_trials(trial, ns.trials, ns.jobs)
     rows = [
         {"trial_index": i, **asdict(rep), "seed": f"{ns.seed}:{i + 1}"}
         for i, rep in enumerate(reports)
@@ -439,8 +433,8 @@ def _suite_asymptotics(ns) -> list[dict]:
 
 
 def _suite_mc_kappa(ns) -> list[dict]:
-    tasks = _kappa_tasks(ns.n, KAPPA_LAMBDAS, ns.trials, ns.seed)
-    rows, _ = _run_trials(_kappa_trial, tasks, ns.jobs)
+    trial = functools.partial(_kappa_trial, ns.n, KAPPA_LAMBDAS, ns.trials, ns.seed)
+    rows, _ = _run_trials(trial, len(KAPPA_LAMBDAS) * ns.trials, ns.jobs)
     deviations = {
         lam: [r["abs_deviation"] for r in rows[li * ns.trials:(li + 1) * ns.trials]]
         for li, lam in enumerate(KAPPA_LAMBDAS)
@@ -450,14 +444,14 @@ def _suite_mc_kappa(ns) -> list[dict]:
 
 def _suite_supercritical(ns) -> list[dict]:
     s = int(round(ns.n**0.75)) if ns.s is None else ns.s
-    tasks = [(ns.n, s, {}, ns.seed, i) for i in range(ns.trials)]
-    reports, _ = _run_trials(_census_trial, tasks, ns.jobs)
+    trial = functools.partial(_census_trial, ns.n, s, ns.seed)
+    reports, _ = _run_trials(trial, ns.trials, ns.jobs)
     return core_excess_checks(reports) + genus_upper_checks(reports)
 
 
 def _suite_fragile(ns) -> list[dict]:
-    tasks = [(None, "path", ns.n, 2, ns.k, 3, ns.seed, i) for i in range(ns.trials)]
-    reports, _ = _run_trials(_fragile_trial, tasks, ns.jobs)
+    trial = functools.partial(_fragile_trial, None, "path", ns.n, 2, ns.k, 3, ns.seed)
+    reports, _ = _run_trials(trial, ns.trials, ns.jobs)
     return fragile_checks(reports, ns.n, ns.k, 2)
 
 
@@ -501,7 +495,8 @@ def _config_of(ns) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the count arguments: trials, sample sizes and jobs."""
+    """argparse type of the count arguments: trials, sample sizes, jobs,
+    search budgets and cycle caps."""
     try:
         value = int(text)
     except ValueError:
@@ -553,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus", help="exact genus or bounds of a graph")
     genus_sub = p.add_subparsers(dest="mode", required=True)
     q = genus_sub.add_parser("exact", help="minimum genus by rotation search")
-    q.add_argument("--budget", type=int, default=50_000_000,
+    q.add_argument("--budget", type=_positive_int, default=50_000_000,
                    help="search node budget, one dart placed per node")
     q.add_argument("--faces", action="store_true",
                    help="include the face walks of a minimum-genus rotation")
@@ -561,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = genus_sub.add_parser("bounds", help="Euler lower and upper bounds")
     q.add_argument("--ell", type=int, default=4,
                    help="cycle census length for the lower bound")
-    q.add_argument("--cap", type=int, default=CYCLE_CAP,
+    q.add_argument("--cap", type=_positive_int, default=CYCLE_CAP,
                    help="most cycles the census may enumerate")
     q.set_defaults(func=_cmd_genus_bounds)
     for q in genus_sub.choices.values():
@@ -609,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="short cycle length (default floor(n/s))")
     q.add_argument("--a", type=float, default=None,
                    help="census parameter (default 0.5*ln(s^3/n^2))")
-    q.add_argument("--cap", type=int, default=CYCLE_CAP)
+    q.add_argument("--cap", type=_positive_int, default=CYCLE_CAP)
     _add_output(q)
     _add_trials(q)
     q.set_defaults(func=_cmd_census)

@@ -259,8 +259,10 @@ def _biconnected_edge_blocks(graph: Graph) -> tuple[list[list[tuple[int, int]]],
     return blocks, kappa
 
 
-def _girth_upper(adj: list[list[int]]) -> int:
-    """Girth of a graph given by adjacency lists (assumed to contain a cycle)."""
+def _girth_upper(adj: list[list[int]], stop: int = 0) -> int:
+    """Girth of a graph given by adjacency lists (assumed to contain a cycle),
+    or the length of the first closed walk found that is at most stop; the
+    girth is at most that length."""
     n = len(adj)
     best = n + 1
     for s in range(n):
@@ -277,6 +279,8 @@ def _girth_upper(adj: list[list[int]]) -> int:
                         cyc = dist[v] + dist[w] + 1
                         if cyc < best:
                             best = cyc
+                            if best <= stop:
+                                return best
                     else:
                         dist[w] = dist[v] + 1
                         par[w] = v
@@ -322,8 +326,11 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
             out_darts[index[b]].append(2 * j + 1)
             heads[2 * j] = index[b]
             heads[2 * j + 1] = index[a]
-        girth = _girth_upper([[heads[d] for d in outs] for outs in out_darts])
+        adj = [[heads[d] for d in outs] for outs in out_darts]
         nv, ne = len(verts), len(block)
+        # the Euler girth bound is 0 for every girth up to 2E/(E - V + 2), so
+        # the first cycle that short leaves the planarity test to decide
+        girth = _girth_upper(adj, 2 * ne // (ne - nv + 2))
         lower = _euler_lower(nv, ne, 1, girth - 1)
         if lower == 0:
             darts = _genus_search.planar_rotation(out_darts, heads)
@@ -331,6 +338,7 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
                 settled.append((verts, heads, darts))
                 continue
             lower = 1
+            girth = _girth_upper(adj)
         space = sum(math.lgamma(len(outs)) for outs in out_darts)
         searchable.append((space, lower, (ne - nv + 1) // 2, verts, out_darts, heads, girth))
     # cheap blocks first so a budget overrun brackets as tightly as possible

@@ -13,8 +13,7 @@ fragile_experiment computes them once per (l, Delta) and caches them on the
 base Graph; the trials of a run that share a base graph decompose it once
 and then only draw pairs, contract them and bound the quotient.  The
 contraction maps the drawn pairs through the decomposition's core-owner
-array (PieceDecomposition.owner) with one gather and one sorted dedupe, the
-same code contract_sets runs.
+array (PieceDecomposition.owner) with one gather and one sorted dedupe.
 """
 
 from __future__ import annotations

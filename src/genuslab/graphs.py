@@ -36,9 +36,9 @@ computed for it as a base graph, one per (l, Delta).  A Graph is
 immutable, so no cache is ever invalidated, and none takes part in == or
 hash.
 
-contract_sets and fragile.build_quotient share one contraction: an owner
-array maps each vertex to its set (_owner_array), and _contract_pairs maps
-the pairs through it with one gather and drops repeats with _distinct.
+fragile.build_quotient contracts through two helpers here: an owner array
+maps each vertex to its set (_owner_array), and _contract_pairs maps the
+pairs through it with one gather and drops repeats with _distinct.
 
 Integer arrays are deduplicated by _distinct, one sort and a comparison
 of neighbours: numpy 2's np.unique hashes instead, which is many times
@@ -222,9 +222,6 @@ class Graph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self._edges]
-
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
         """Degree array, of the CSR index dtype (int32 unless n or 2m
@@ -489,38 +486,25 @@ def giant_component(G: Graph) -> InducedSubgraph:
     return induced_subgraph(G, giant_vertices(G))
 
 
-def contract_sets(G: Graph, sets) -> Graph:
-    """Quotient graph: each given vertex set becomes one vertex.
-
-    Sets must be disjoint and nonempty.  Vertices outside every set are
-    dropped, loops arising inside a set are dropped, and parallel edges
-    collapse, so the result is a simple graph on len(sets) vertices.  When
-    each set induces a connected subgraph, the result is a minor of G.
-    """
-    sets = list(sets)
-    return _contract_pairs(_owner_array(sets, G.n), len(sets), G.edge_array)
-
-
-def _owner_array(sets, n: int | None = None) -> np.ndarray:
-    """Read-only map from each vertex 0..n-1 to the index of the set holding
-    it, or -1 for a vertex in none, followed by one more -1 that stands for
-    every vertex beyond n - 1 (see _contract_pairs).  n defaults to one past
-    the largest member.
+def _owner_array(sets) -> np.ndarray:
+    """Read-only map from each vertex 0..n-1, n one past the largest member,
+    to the index of the set holding it, or -1 for a vertex in none, followed
+    by one more -1 that stands for every vertex beyond n - 1 (see
+    _contract_pairs).
 
     The sets are concatenated once; a vertex counted twice means two sets
-    overlap.  Raises GraphError for an empty set, a member outside 0..n-1,
-    or overlapping sets.
+    overlap.  Raises GraphError for an empty set, a negative member, or
+    overlapping sets.
     """
     members = [s if isinstance(s, np.ndarray) else list(s) for s in sets]
     sizes = np.array([len(s) for s in members], dtype=np.int64)
     if (sizes == 0).any():
         raise GraphError("contraction sets must be nonempty")
     flat = np.concatenate(members, dtype=np.int64) if members else np.zeros(0, dtype=np.int64)
-    if n is None:
-        n = int(flat.max(initial=-1)) + 1
-    if flat.size and (flat.min() < 0 or flat.max() >= n):
+    n = int(flat.max(initial=-1)) + 1
+    if flat.size and flat.min() < 0:
         raise GraphError("vertex out of range")
-    if np.bincount(flat, minlength=n).max(initial=0) > 1:
+    if np.bincount(flat).max(initial=0) > 1:
         raise GraphError("contraction sets must be disjoint")
     owner = np.full(n + 1, -1, dtype=np.int64)
     owner[flat] = np.repeat(np.arange(len(members)), sizes)
@@ -862,6 +846,8 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 
 def hypercube_graph(d: int) -> Graph:
+    if d < 0:
+        raise GraphError("hypercube dimension must be nonnegative")
     n = 1 << d
     return Graph(n, [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)])
 

@@ -26,18 +26,6 @@ from enum import Enum
 from .asymptotics import genus_per_edge
 from .census import predicted_genus
 
-REGIME_NAMES = (
-    "planar_subcritical",
-    "critical_window",
-    "slightly_supercritical",
-    "linear",
-    "near_linear",
-    "power_law_gap",
-    "power_law_boundary",
-    "dense",
-)
-
-
 # Finite-size cutoffs rendering the asymptotic regime conditions.
 # The critical window is |m - n/2| <= n**WINDOW_EXPONENT.
 WINDOW_EXPONENT = 2.0 / 3.0
@@ -64,10 +52,12 @@ BOUNDARY_BAND = 2.0
 class RegimePrediction:
     """Classified regime of an (n, m) pair with its predicted genus.
 
-    predicted_genus is a closed interval (lo, hi); regimes with a pinpoint
-    prediction have lo == hi.  parameters carries the quantities the
-    prediction was computed from (s, lambda, j, alpha, or the window
-    position c = s / n**(2/3), as applicable).
+    regime is one of planar_subcritical, critical_window,
+    slightly_supercritical, linear, near_linear, power_law_gap,
+    power_law_boundary and dense.  predicted_genus is a closed interval
+    (lo, hi); regimes with a pinpoint prediction have lo == hi.  parameters
+    carries the quantities the prediction was computed from (s, lambda, j,
+    alpha, or the window position c = s / n**(2/3), as applicable).
     """
 
     regime: str
@@ -182,6 +172,8 @@ def contiguity_verdict(n: int, m: int | None, g: float, eps: float) -> Contiguit
     critical-window regimes are outside the treated tables and always
     return undetermined.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if g < 0:

@@ -158,12 +158,20 @@ def dfs_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[i
     return out
 
 
+def classification(cn) -> tuple[int, int, int, int, int]:
+    """A CycleNeighborhood in brute_classify's form, with the attached count
+    good + bad + tree_components last."""
+    return (cn.leaf_size, cn.good, cn.bad, cn.tree_components,
+            cn.good + cn.bad + cn.tree_components)
+
+
 def brute_classify(G: Graph, cycle) -> tuple[int, int, int, int, int]:
     """Re-derive a cycle's neighbourhood classification from scratch.
 
     Deletes the cycle vertices, splits the rest into components, and sorts
     each component by how many edges tie it back to the cycle.  Returns
-    (leaf_size, good, bad, tree_components, neighbor_count).
+    (leaf_size, good, bad, tree_components, attached), where attached counts
+    the outside vertices adjacent to the cycle.
     """
     on_cycle = set(cycle)
     rest = [v for v in range(G.n) if v not in on_cycle]
@@ -304,15 +312,13 @@ def bfs_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
     return PieceDecomposition(l=d.l, Delta=d.Delta, pieces=d.pieces, cores=tuple(cores))
 
 
-def contract_reference(sets, pairs, n: int | None = None) -> tuple[int, list[tuple[int, int]]]:
-    """contract_sets and build_quotient by a dict from each vertex to its
-    set and a Python set of index pairs: (number of sets, sorted edges).
+def contract_reference(sets, pairs) -> tuple[int, list[tuple[int, int]]]:
+    """build_quotient by a dict from each vertex to its set and a Python
+    set of index pairs: (number of sets, sorted edges).
 
-    With n given every member must lie in 0..n-1, as in contract_sets;
-    without it any nonnegative vertex may be a member, and a pair may
-    reach past every set, as in build_quotient.  Raises GraphError for an
-    empty set, a member out of range, a vertex in two sets, or a pair with
-    a negative end.
+    Any nonnegative vertex may be a member, and a pair may reach past every
+    set.  Raises GraphError for an empty set, a negative member, a vertex
+    in two sets, or a pair with a negative end.
     """
     owner: dict[int, int] = {}
     sets = [list(s) for s in sets]
@@ -320,7 +326,7 @@ def contract_reference(sets, pairs, n: int | None = None) -> tuple[int, list[tup
         if not members:
             raise GraphError("empty set")
         for v in members:
-            if v < 0 or (n is not None and v >= n):
+            if v < 0:
                 raise GraphError("member out of range")
             if v in owner:
                 raise GraphError("overlapping sets")

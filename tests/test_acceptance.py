@@ -48,7 +48,7 @@ from genuslab.acceptance import (
     subcritical_identity_checks,
 )
 
-from brute_force import brute_classify, brute_cycles
+from brute_force import brute_classify, brute_cycles, classification
 
 
 def _verdict(label: str, passed: bool, detail: str) -> None:
@@ -252,14 +252,7 @@ def test_corpus_invariant_sweep(corpus6, fixtures, genus_of) -> None:
             failures.append(f"cycle brute force @{idx}")
         for cyc in enumerate_cycles(g, 6):
             cn = classify_cycle_neighborhood(g, cyc)
-            got = (
-                cn.leaf_size,
-                cn.good,
-                cn.bad,
-                cn.tree_components,
-                cn.neighbor_count,
-            )
-            if got != brute_classify(g, cyc):
+            if classification(cn) != brute_classify(g, cyc):
                 failures.append(f"classification @{idx}")
     elapsed = time.perf_counter() - start
     ok = not failures

@@ -25,6 +25,8 @@ def test_component_fraction_linear_below_the_threshold() -> None:
 def test_component_fraction_edge_cases() -> None:
     assert component_fraction(0.0) == 1.0
     assert component_fraction(1.0) == pytest.approx(0.5, abs=1e-9)
+    # c e^(-c) underflows
+    assert component_fraction(800.0) == 0.0
     with pytest.raises(ValueError):
         component_fraction(-0.1)
 

@@ -23,7 +23,7 @@ from genuslab import (
     supercritical_report,
     two_core,
 )
-from brute_force import brute_classify
+from brute_force import brute_classify, classification
 from showcases import census_showcase
 
 
@@ -32,21 +32,20 @@ def test_classify_pendant_tree() -> None:
     cn = classify_cycle_neighborhood(g, (0, 1, 2))
     assert (cn.leaf_size, cn.good, cn.bad) == (1, 0, 0)
     assert cn.tree_components == 1
-    assert cn.neighbor_count == 1
 
 
 def test_classify_doubly_attached_vertex() -> None:
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
     cn = classify_cycle_neighborhood(g, (0, 1, 2))
     assert (cn.leaf_size, cn.good, cn.bad) == (0, 0, 1)
-    assert cn.neighbor_count == 1
+    assert cn.tree_components == 0
 
 
 def test_classify_ignores_chords() -> None:
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
     cn = classify_cycle_neighborhood(g, (0, 1, 2, 3, 4))
     assert (cn.leaf_size, cn.good, cn.bad) == (0, 0, 0)
-    assert cn.neighbor_count == 0
+    assert cn.tree_components == 0
 
 
 def test_classify_good_vertex_in_cyclic_component() -> None:
@@ -55,7 +54,6 @@ def test_classify_good_vertex_in_cyclic_component() -> None:
     cn = classify_cycle_neighborhood(g, (0, 1, 2))
     assert (cn.leaf_size, cn.good, cn.bad) == (0, 1, 0)
     assert cn.tree_components == 0
-    assert cn.neighbor_count == 1
 
 
 def test_classify_validates_the_cycle() -> None:
@@ -75,15 +73,13 @@ def test_showcase_classification_counts() -> None:
     assert cn.good == 6
     assert cn.bad == 2
     assert cn.tree_components == 3
-    assert cn.neighbor_count == 11
 
 
 def test_classifier_matches_brute_force_on_corpus(corpus6) -> None:
     for g in corpus6:
         for cyc in enumerate_cycles(g, 6):
             cn = classify_cycle_neighborhood(g, cyc)
-            got = (cn.leaf_size, cn.good, cn.bad, cn.tree_components,
-                   cn.neighbor_count)
+            got = classification(cn)
             assert got == brute_classify(g, cyc)
 
 
@@ -92,8 +88,7 @@ def test_classifier_matches_brute_force_on_random_graphs() -> None:
         g = gnm(12, 16, seed=(31, t))
         for cyc in enumerate_cycles(g, 8):
             cn = classify_cycle_neighborhood(g, cyc)
-            got = (cn.leaf_size, cn.good, cn.bad, cn.tree_components,
-                   cn.neighbor_count)
+            got = classification(cn)
             assert got == brute_classify(g, cyc)
 
 
@@ -118,8 +113,7 @@ def test_classification_by_core_matches_brute_force() -> None:
     for h, cycles in cases:
         for cyc in cycles:
             cn = classify_cycle_neighborhood(h, cyc)
-            got = (cn.leaf_size, cn.good, cn.bad, cn.tree_components,
-                   cn.neighbor_count)
+            got = classification(cn)
             assert got == brute_classify(h, cyc)
             if h is g:
                 assert got == expect[cyc]

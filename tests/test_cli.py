@@ -407,6 +407,10 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
      "--k", "20", "--trials", "1"],
     # a degree cap that no tree on the vertices meets
     ["generate", "random-tree", "--n", "2", "--delta", "0"],
+    # budgets and caps are counts too
+    ["genus", "exact", "--fixture", "k5", "--budget", "-5"],
+    ["genus", "bounds", "--fixture", "k5", "--cap", "0"],
+    ["census", "supercritical", "--n", "3000", "--s", "500", "--cap", "0"],
 ])
 def test_counts_that_are_not_positive_are_usage_errors(
         argv, tmp_path, monkeypatch) -> None:

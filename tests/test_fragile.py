@@ -14,7 +14,6 @@ from genuslab import (
     PieceDecomposition,
     add_uniform_edges,
     build_quotient,
-    contract_sets,
     count_good_edges,
     cycle_graph,
     decompose_into_pieces,
@@ -97,9 +96,6 @@ def test_contraction_matches_the_reference() -> None:
             sets.append((-1,))
         elif fault == 5:
             pairs.append((int(rng.integers(0, n)), -1))
-        simple = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v and 0 <= min(u, v) and max(u, v) < n})
-        g = Graph(n, simple)
-        _agrees_with_reference(lambda: contract_sets(g, sets), lambda: contract_reference(sets, simple, n))
         if sets:
             cored = PieceDecomposition(l=1, Delta=1, pieces=tuple(sets), cores=tuple(sets))
             _agrees_with_reference(lambda: build_quotient(cored, pairs), lambda: contract_reference(sets, pairs))

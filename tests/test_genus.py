@@ -305,6 +305,21 @@ def test_planarity_test_runs_in_linear_time_without_recursion() -> None:
     assert seconds[1] < 8 * seconds[0], seconds
 
 
+def test_a_long_planar_block_settles_in_linear_time() -> None:
+    seconds = []
+    for n in (2000, 4000):
+        cycle = cycle_graph(n)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            result = exact_genus(cycle)
+            best = min(best, time.perf_counter() - start)
+            assert (result.genus, result.nodes_explored) == (0, 0)
+        seconds.append(best)
+    # twice the vertices: about twice the time, not four times
+    assert seconds[1] < 4 * seconds[0], seconds
+
+
 def test_search_matches_the_reference_kernel(monkeypatch, fixtures, corpus6) -> None:
     full = 50_000_000
     graphs = [*fixtures.values(), *corpus6, complete_bipartite_graph(3, 7)]

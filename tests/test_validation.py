@@ -12,11 +12,13 @@ from genuslab import (
     classify_cycle_neighborhood,
     complete_graph,
     component_fraction_derivative,
+    contiguity_verdict,
     decompose_into_pieces,
     enumerate_cycles,
     fragile_experiment,
     genus_lower_bound_density,
     gnm,
+    hypercube_graph,
     path_graph,
     trace_faces,
 )
@@ -29,6 +31,8 @@ THREE_TRIANGLES = Graph(9, [(t + u, t + v) for t in (0, 3, 6) for u, v in ((0, 1
     (lambda: Graph(-1), GraphError, "vertex count must be nonnegative"),
     (lambda: Graph(3, [(0, 1, 2)]), GraphError, "edges must be pairs"),
     (lambda: gnm(-1, 0), GraphError, "n and m must be nonnegative"),
+    (lambda: hypercube_graph(-1), GraphError, "hypercube dimension must be nonnegative"),
+    (lambda: contiguity_verdict(0, None, 0, 0.05), ValueError, "n must be at least 1"),
     (lambda: decompose_into_pieces(path_graph(5), 1, 0), DecompositionError, "Delta must be at least 1"),
     (lambda: decompose_into_pieces(path_graph(5), 0, 2), DecompositionError, "l must be at least 1"),
     (lambda: fragile_experiment(path_graph(5), 2, 0, 0), ValueError, "k must be at least 1"),
@@ -49,6 +53,8 @@ def test_invalid_arguments_raise(call, error, message) -> None:
     (["generate", "random-tree", "--n", "0"], None, "n must be at least 1"),
     (["census", "supercritical", "--n", "3000", "--s", "500", "--trials", "abc"], None,
      "expected a positive integer, got 'abc'"),
+    (["generate", "hypercube", "--dim", "-1"], None, "hypercube dimension must be nonnegative"),
+    (["contiguity", "--n", "0", "--genus", "0"], None, "n must be at least 1"),
 ])
 def test_invalid_cli_input_exits_two_with_an_error_line(
         argv, text, message, tmp_path, monkeypatch, capsys) -> None:
