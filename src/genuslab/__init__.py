@@ -35,6 +35,7 @@ from .embeddings import (
     GenusResult,
     SearchBudgetError,
     exact_genus,
+    genus_lower_bound,
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
     genus_upper_bound,

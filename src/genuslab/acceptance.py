@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 
 from .asymptotics import component_fraction, component_fraction_derivative, genus_per_edge
 from .census import SupercriticalReport, predicted_core_excess
-from .embeddings import GenusResult, genus_lower_bound_density
+from .embeddings import GenusResult, genus_lower_bound
 from .fragile import FragileReport
 from .graphs import (
     Graph,
@@ -112,17 +112,17 @@ def kappa_checks(deviations: Mapping[float, Sequence[float]]) -> list[dict]:
 
 def oracle_checks(results: Mapping[str, GenusResult]) -> list[dict]:
     """exact_genus results on every ORACLE_EXPECTED fixture, by name: genus
-    and face count as expected, and the density bound at most the genus."""
+    and face count as expected, and genus_lower_bound at most the genus."""
     fixtures = named_fixtures()
     rows = []
     for name, (genus, faces) in ORACLE_EXPECTED.items():
         res = results[name]
-        density = genus_lower_bound_density(fixtures[name])
+        lower = genus_lower_bound(fixtures[name])
         rows.append(_row(
             f"oracle_{name}",
-            (res.genus, res.face_count) == (genus, faces) and density <= res.genus,
+            (res.genus, res.face_count) == (genus, faces) and lower <= res.genus,
             f"genus {res.genus} (want {genus}), f {res.face_count} (want {faces}), "
-            f"density lower bound {density}",
+            f"lower bound {lower}",
         ))
     return rows
 

@@ -12,7 +12,8 @@ the tree function T(w) = sum r^(r-1)/r! w^r = -W_0(-w) (Corless et al. 1996,
     u(c) = (T - T^2/2) / c,
 
 where T = c for c <= 1, so u(c) = 1 - c/2 on [0, 1], and for c > 1, T is the
-dual root in (0, 1) of T e^(-T) = c e^(-c), found to machine precision.
+dual root in (0, 1) of T e^(-T) = c e^(-c), read from
+scipy.special.lambertw.
 component_fraction_derivative is its derivative, genus_per_edge the limiting
 genus per edge at edge density lambda, and cycle_count_limit the limiting
 expected number of cycles in the slightly supercritical regime, defined by a
@@ -23,40 +24,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 
-_EPS = np.finfo(float).eps
+def _tree_function(c: float) -> float:
+    """T(c e^(-c)) = -W_0(-c e^(-c)) for c > 1, the dual root in (0, 1) of
+    T e^(-T) = c e^(-c); 0 once c e^(-c) underflows."""
+    from scipy import special
 
-
-def _tree_root(c: float) -> float:
-    """The root T in (0, 1) of log T - T = log c - c, for c > 1.
-
-    f(T) = log T - T - (log c - c) is increasing and concave on (0, 1), so
-    Newton steps from a point left of the root climb monotonically onto it;
-    c e^(-c) and 2 - c both lie left of it.  A step that leaves the bracket
-    falls back to bisection.  Returns 0 once c e^(-c) underflows.
-    """
-    target = math.log(c) - c
-    lo = max(c * math.exp(-c), 2.0 - c)
-    if lo == 0.0:
-        return 0.0
-    hi = 1.0
-    t = lo
-    for _ in range(200):
-        f = math.log(t) - t - target
-        if f < 0.0:
-            lo = t
-        elif f > 0.0:
-            hi = t
-        else:
-            return t
-        nxt = t - f * t / (1.0 - t)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - t) <= _EPS * t:
-            return nxt
-        t = nxt
-    return t
+    return float(-special.lambertw(-c * math.exp(-c)).real)
 
 
 def component_fraction(c: float) -> float:
@@ -69,7 +43,7 @@ def component_fraction(c: float) -> float:
         raise ValueError("average degree must be nonnegative")
     if c <= 1.0:
         return 1.0 - c / 2.0
-    t = _tree_root(c)
+    t = _tree_function(c)
     return (t - t * t / 2.0) / c
 
 
@@ -87,7 +61,7 @@ def component_fraction_derivative(c: float) -> float:
         raise ValueError("average degree must be positive")
     if c <= 1.0:
         return -0.5
-    t = _tree_root(c)
+    t = _tree_function(c)
     return ((1.0 - c) * t - (t - t * t / 2.0)) / (c * c)
 
 

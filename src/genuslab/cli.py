@@ -3,8 +3,8 @@
 Commands compute rows and a summary; one writer, _emit, writes the report.
 The JSON report has four blocks: config (the exact parameters used,
 round-trippable through JSON), metadata (timestamps, wall times and what
-ran: the search backend and the package, numpy and scipy versions; the only
-content that varies between runs), rows (one per trial or grid point,
+ran: the package, numpy and scipy versions; the only content that varies
+between runs), rows (one per trial or grid point,
 deterministic given config and seed), and summary.  CSV output emits a flat
 table alone, but a search or cycle budget failure is always a JSON report.
 Exit codes: 0 on success, 1 when an acceptance suite fails or a budget runs
@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
-from . import __version__, _genus_search
+from . import __version__
 from .acceptance import (
     KAPPA_LAMBDAS,
     ORACLE_EXPECTED,
@@ -52,8 +52,7 @@ from .census import SupercriticalReport, predicted_core_excess, supercritical_re
 from .embeddings import (
     SearchBudgetError,
     exact_genus,
-    genus_lower_bound_density,
-    genus_lower_bound_short_cycles,
+    genus_lower_bound,
     genus_upper_bound,
     trace_faces,
 )
@@ -104,7 +103,6 @@ def _emit(ns, rows: list[dict], summary: dict, seconds=(), *,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "tool": "genuslab",
                 "version": __version__,
-                "search_backend": "numba" if _genus_search.HAVE_NUMBA else "python",
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
                 "trial_seconds": [round(t, 6) for t in seconds],
@@ -252,12 +250,7 @@ def _fragile_trial(path, kind, n, delta: int, k: int, ell: int, master,
 def _curve_point(n: int, grid: list[int], ell: int, master, index: int) -> dict:
     m = grid[index]
     G = gnm(n, m, trial_rng(master, index))
-    try:
-        lower = genus_lower_bound_short_cycles(G, ell, cap=200_000)
-    except CycleBudgetError:
-        # dense points have too many short cycles to enumerate
-        lower = 0
-    lower = max(lower, genus_lower_bound_density(G))
+    lower = genus_lower_bound(G, ell)
     upper = genus_upper_bound(G)
     pred = predict_genus(n, m)
     mid = 0.5 * (pred.predicted_genus[0] + pred.predicted_genus[1])
@@ -279,9 +272,8 @@ def _cmd_generate(ns) -> int:
 def _cmd_genus_bounds(ns) -> int:
     G = _load_input_graph(ns)
     bounds = {
-        "lower": genus_lower_bound_short_cycles(G, ns.ell, cap=ns.cap),
+        "lower": genus_lower_bound(G, ns.ell),
         "upper": genus_upper_bound(G),
-        "density_lower": genus_lower_bound_density(G),
     }
     payload = {"bounds": bounds, "ell": ns.ell, "n": G.n, "m": G.m}
     _emit(ns, [payload], payload,
@@ -556,8 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = genus_sub.add_parser("bounds", help="Euler lower and upper bounds")
     q.add_argument("--ell", type=int, default=4,
                    help="cycle census length for the lower bound")
-    q.add_argument("--cap", type=_positive_int, default=CYCLE_CAP,
-                   help="most cycles the census may enumerate")
     q.set_defaults(func=_cmd_genus_bounds)
     for q in genus_sub.choices.values():
         source = q.add_mutually_exclusive_group(required=True)

@@ -5,8 +5,10 @@ Tracing the orbits of the dart map (u, v) -> (v, successor of u at v) yields
 the faces of the corresponding cellular embedding, and the Euler formula
 recovers its genus.  Taking the minimum over all rotation systems gives the
 (orientable) genus of the graph; this module computes that minimum exactly by
-a branch-and-bound search organised block by block, and also provides the two
-cheap Euler-formula bounds used on graphs far too large for the search.
+a branch-and-bound search organised block by block.  For graphs far too large
+for the search it provides the cycle-rank upper bound and the Euler-formula
+lower bounds: genus_lower_bound takes the best of the density bound and the
+short-cycle bound, with a cycle census whose budget follows from m.
 
 Face-count convention for disconnected graphs: the outer faces of the
 components are merged, so a graph with components c and per-component face
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CYCLE_CAP, Graph, GraphError, enumerate_cycles
+from .graphs import CYCLE_CAP, CycleBudgetError, Graph, GraphError, enumerate_cycles
 
 from . import _genus_search
 
@@ -137,9 +139,7 @@ def _rank_upper(n: int, m: int, kappa: int) -> int:
     return max(0, (m - n + kappa) // 2)
 
 
-def genus_lower_bound_short_cycles(
-    graph: Graph, max_cycle_length: int = 4, cap: int = CYCLE_CAP
-) -> int:
+def genus_lower_bound_short_cycles(graph: Graph, max_cycle_length: int = 4) -> int:
     """Euler-formula lower bound from a short-cycle census.
 
     Let C be the number of cycles of length at most ell = max_cycle_length.
@@ -155,8 +155,30 @@ def genus_lower_bound_short_cycles(
     unchanged for general graphs: pruning degree-1 vertices changes neither
     m - n + kappa nor the cycle census, so the value agrees with the bound on
     the 2-core whenever the graph has a cycle, and acyclic graphs return 0.
+    Raises CycleBudgetError past CYCLE_CAP cycles.
     """
-    ell = int(max_cycle_length)
+    return _short_cycle_lower(graph, int(max_cycle_length), CYCLE_CAP)
+
+
+def genus_lower_bound(graph: Graph, ell: int = 4) -> int:
+    """The best Euler lower bound: the larger of genus_lower_bound_density
+    and the short-cycle bound at ell, with the cycle census stopped at
+    floor(m/3) cycles.  Never raises CycleBudgetError.
+
+    The stop loses nothing.  Once the census counts C >= m/3 cycles, the
+    short-cycle face bound F = (2m + 2C(ell - 2)) / (ell + 1) is at least
+    2m/3, its value at ell = 2, so the short-cycle bound is at most the
+    whole-graph bound at ell = 2, which the density bound is never below.
+    """
+    density = genus_lower_bound_density(graph)
+    try:
+        return max(density, _short_cycle_lower(graph, int(ell), graph.m // 3))
+    except CycleBudgetError:
+        return density
+
+
+def _short_cycle_lower(graph: Graph, ell: int, cap: int) -> int:
+    """The short-cycle bound at ell from a census of at most cap cycles."""
     acyclic = graph.m - graph.n + graph.component_count <= 0
     short = 0 if acyclic else len(enumerate_cycles(graph, ell, cap=cap))
     return _euler_lower(graph.n, graph.m, graph.component_count, ell, short)
@@ -260,12 +282,18 @@ def _biconnected_edge_blocks(graph: Graph) -> tuple[list[list[tuple[int, int]]],
 
 
 def _girth_upper(adj: list[list[int]], stop: int = 0) -> int:
-    """Girth of a graph given by adjacency lists (assumed to contain a cycle),
-    or the length of the first closed walk found that is at most stop; the
-    girth is at most that length."""
+    """Girth of a 2-connected block given by adjacency lists, or the length
+    of the first closed walk found that is at most stop; the girth is at
+    most that length.
+
+    The breadth-first searches start only at the vertices of degree 3 or
+    more, or at vertex 0 of a block that is a cycle: every cycle of a
+    2-connected graph that is not a cycle passes through such a vertex, so
+    the shortest one is still seen from one of its own vertices.
+    """
     n = len(adj)
     best = n + 1
-    for s in range(n):
+    for s in [v for v in range(n) if len(adj[v]) > 2] or [0]:
         dist = {s: 0}
         par = {s: -1}
         frontier = [s]

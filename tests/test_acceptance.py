@@ -23,7 +23,7 @@ from genuslab import (
     enumerate_cycles,
     exact_genus,
     fragile_experiment,
-    genus_lower_bound_density,
+    genus_lower_bound,
     genus_lower_bound_short_cycles,
     genus_per_edge,
     genus_upper_bound,
@@ -221,14 +221,7 @@ def test_corpus_invariant_sweep(corpus6, fixtures, genus_of) -> None:
         exact = genus_of(g)
         if (core.n and genus_of(core) != exact) or (not core.n and exact):
             failures.append(f"core genus #{idx}")
-        if not (
-            max(
-                genus_lower_bound_density(g),
-                genus_lower_bound_short_cycles(g, 4),
-            )
-            <= exact
-            <= genus_upper_bound(g)
-        ):
+        if not genus_lower_bound(g) <= exact <= genus_upper_bound(g):
             failures.append(f"bound sandwich #{idx}")
         if g.n >= 3 and g.m > 3 * g.n - 6 + 6 * exact:
             failures.append(f"density law #{idx}")

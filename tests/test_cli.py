@@ -15,8 +15,8 @@ from genuslab import (
     CycleBudgetError,
     component_fraction,
     cycle_count_limit,
+    enumerate_cycles,
     genus_lower_bound_density,
-    genus_lower_bound_short_cycles,
     genus_per_edge,
 )
 from genuslab.cli import OUT_DIR_ENV, _build_parser, _random_tree, main
@@ -48,7 +48,6 @@ def test_genus_exact_reports_genus_and_faces(capsys) -> None:
     assert doc["config"]["fixture"] == "k5"
     meta = doc["metadata"]
     assert meta["tool"] == "genuslab"
-    assert meta["search_backend"] == "python"
     assert meta["numpy"] == np.__version__
     assert meta["scipy"] == scipy.__version__
 
@@ -71,32 +70,34 @@ def test_genus_exact_budget_exhaustion_exits_one(capsys) -> None:
     row = doc["rows"][0]
     assert row["error"]
     assert row["bounds"]["lower"] <= 1 <= row["bounds"]["upper"]
-    assert doc["metadata"]["search_backend"] == "python"
 
 
 def test_genus_bounds_shape(capsys) -> None:
+    # K6 has 20 triangles, past the census budget of m/3 = 5 cycles, so the
+    # lower bound is the density bound ceil((15 - 18 + 6) / 6) = 1
     rc, doc = _run_json(capsys, ["genus", "bounds", "--fixture", "k6",
                                  "--ell", "3"])
     assert rc == 0
-    bounds = doc["summary"]["bounds"]
-    assert bounds["lower"] <= 1 <= bounds["upper"]
-    assert bounds["density_lower"] <= bounds["upper"]
+    assert doc["summary"]["bounds"] == {"lower": 1, "upper": 5}
     assert doc["summary"]["ell"] == 3
-    assert not {"budget", "faces"} & set(doc["config"])
+    assert not {"budget", "faces", "cap"} & set(doc["config"])
 
 
-def test_genus_bounds_cycle_budget_exits_one(capsys) -> None:
-    rc, doc = _run_json(capsys, ["genus", "bounds", "--fixture", "k6",
-                                 "--cap", "1"])
+_CENSUS_PAST_ITS_CAP = ["census", "supercritical", "--n", "3000", "--s", "1000",
+                        "--ell", "10", "--trials", "1", "--cap", "1"]
+
+
+def test_census_cycle_budget_exits_one(capsys) -> None:
+    rc, doc = _run_json(capsys, _CENSUS_PAST_ITS_CAP)
     assert rc == 1
     assert doc["summary"] == {"error": "cycle budget exhausted", "cap": 1,
-                              "max_length": 4}
+                              "max_length": 10}
     assert doc["config"]["cap"] == 1
 
 
 @pytest.mark.parametrize("argv", [
     ["genus", "exact", "--fixture", "k6", "--budget", "50"],
-    ["genus", "bounds", "--fixture", "k6", "--cap", "1"],
+    _CENSUS_PAST_ITS_CAP,
 ])
 def test_budget_failure_is_json_under_csv(capsys, argv) -> None:
     rc, doc = _run_json(capsys, argv + ["--format", "csv"])
@@ -108,7 +109,7 @@ def test_budget_failure_is_json_under_csv(capsys, argv) -> None:
 
 @pytest.mark.parametrize("argv, header", [
     (["asym", "--u", "2.0"], "function,argument,value"),
-    (["genus", "bounds", "--fixture", "k6"], "n,m,ell,lower,upper,density_lower"),
+    (["genus", "bounds", "--fixture", "k6"], "n,m,ell,lower,upper"),
     (["predict", "--n", "1000000", "--m", "531623"],
      "n,m,regime,predicted_lo,predicted_hi"),
 ])
@@ -263,10 +264,10 @@ def test_curve_header_is_stable(tmp_path) -> None:
 
 
 def test_curve_falls_back_to_the_density_bound_past_the_cycle_budget(capsys) -> None:
-    # the census of this dense point passes the curve's 200,000-cycle cap
+    # this dense point has more than m/3 short cycles, where the census stops
     g = gnm(300, 20000, trial_rng(0, 0))
     with pytest.raises(CycleBudgetError):
-        genus_lower_bound_short_cycles(g, 4, cap=200_000)
+        enumerate_cycles(g, 4, cap=20000 // 3)
     rc, doc = _run_json(capsys, ["curve", "--n", "300", "--m", "20000", "--format", "json"])
     assert rc == 0
     assert genus_lower_bound_density(g) == 3185  # ceil((m - 3n + 6) / 6)
@@ -380,6 +381,7 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
     # options that only the other genus mode or another suite reads
     ["genus", "exact", "--fixture", "k5", "--ell", "9"],
     ["genus", "exact", "--fixture", "k5", "--cap", "1"],
+    ["genus", "bounds", "--fixture", "k5", "--cap", "1"],
     ["genus", "bounds", "--fixture", "k5", "--budget", "5"],
     ["genus", "bounds", "--fixture", "k5", "--faces"],
     ["suite", "oracle", "--n", "5"],
@@ -409,7 +411,6 @@ def test_suite_report_shape_at_small_scale(capsys, argv, checks) -> None:
     ["generate", "random-tree", "--n", "2", "--delta", "0"],
     # budgets and caps are counts too
     ["genus", "exact", "--fixture", "k5", "--budget", "-5"],
-    ["genus", "bounds", "--fixture", "k5", "--cap", "0"],
     ["census", "supercritical", "--n", "3000", "--s", "500", "--cap", "0"],
 ])
 def test_counts_that_are_not_positive_are_usage_errors(

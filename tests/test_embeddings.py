@@ -9,6 +9,7 @@ from genuslab import (
     complete_graph,
     cycle_graph,
     exact_genus,
+    genus_lower_bound,
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
     genus_upper_bound,
@@ -77,6 +78,8 @@ def test_short_cycle_lower_bound_values() -> None:
     assert genus_lower_bound_short_cycles(complete_bipartite_graph(3, 3), 4) == 0
     with pytest.raises(ValueError):
         genus_lower_bound_short_cycles(complete_graph(5), 1)
+    with pytest.raises(ValueError):
+        genus_lower_bound(complete_graph(5), 1)
 
 
 def test_density_lower_bound_values() -> None:

@@ -10,6 +10,7 @@ from genuslab import (
     add_uniform_edges,
     enumerate_cycles,
     exact_genus,
+    genus_lower_bound,
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
     genus_upper_bound,
@@ -139,6 +140,32 @@ def test_bounds_sandwich_the_exact_genus(corpus6, genus_of) -> None:
         for ell in (2, 3, 4):
             assert genus_lower_bound_short_cycles(g, ell) <= exact
         assert exact <= genus_upper_bound(g)
+
+
+def test_best_lower_bound_is_the_larger_euler_bound(corpus6, genus_of) -> None:
+    # every atlas graph and fixture at one census length each, in turn
+    graphs = [Graph(a.number_of_nodes(), list(a.edges())) for a in nx.graph_atlas_g()]
+    graphs += list(named_fixtures().values())
+    for i, g in enumerate(graphs):
+        ell = 3 + i % 4
+        whole = genus_lower_bound_short_cycles(g, ell)
+        assert genus_lower_bound(g, ell) == max(whole, genus_lower_bound_density(g))
+    # gnm draws dense enough that many pass the census budget of m/3 cycles,
+    # yet small enough to count whole, at every census length
+    rng = trial_rng(515, 11)
+    past_budget = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 31))
+        top = n * (n - 1) // 2 if n <= 12 else 4 * n
+        g = gnm(n, int(rng.integers(0, top + 1)), rng)
+        for ell in (3, 4, 5, 6):
+            short = len(enumerate_cycles(g, ell))
+            past_budget += short > g.m // 3
+            whole = genus_lower_bound_short_cycles(g, ell)
+            assert genus_lower_bound(g, ell) == max(whole, genus_lower_bound_density(g))
+    assert past_budget > 100
+    for g in corpus6:
+        assert genus_lower_bound(g) <= genus_of(g)
 
 
 def _bound_sweep(corpus6) -> list[Graph]:

@@ -16,6 +16,7 @@ from genuslab import (
     decompose_into_pieces,
     enumerate_cycles,
     fragile_experiment,
+    genus_lower_bound,
     genus_lower_bound_density,
     gnm,
     hypercube_graph,
@@ -74,3 +75,4 @@ def test_the_empty_graph_has_no_faces_and_genus_bound_zero() -> None:
     trace = trace_faces(Graph(0), {})
     assert (trace.faces, trace.face_count, trace.genus) == ([], 0, 0)
     assert genus_lower_bound_density(Graph(0)) == 0
+    assert genus_lower_bound(Graph(0)) == 0
