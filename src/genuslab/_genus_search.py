@@ -39,6 +39,8 @@ link, and the passing rotation systems are met in the same order.
 
 from __future__ import annotations
 
+import heapq
+
 # There is one pure-Python kernel; the flag records the backend in reports.
 HAVE_NUMBA = False
 
@@ -46,23 +48,25 @@ HAVE_NUMBA = False
 def _vertex_order(out_darts: list[list[int]]) -> list[int]:
     """Degree-2 vertices first, as their rotation is forced; then always a
     vertex with the fewest neighbours not yet fixed (ties: lower degree, then
-    lower index), so that faces close as early as possible."""
-    nv = len(out_darts)
+    lower index), so that faces close as early as possible.  A vertex is
+    pushed on the heap again each time one of its neighbours is fixed."""
     tail = {d: v for v, outs in enumerate(out_darts) for d in outs}
-    fixed_nbrs = [0] * nv
-    left = set(range(nv))
+    unfixed = [len(outs) for outs in out_darts]
+    heap = [(d != 2, d, d, u) for u, d in enumerate(unfixed)]
+    heapq.heapify(heap)
     order = []
-
-    def rank(u: int) -> tuple[bool, int, int, int]:
-        d = len(out_darts[u])
-        return d == 2, fixed_nbrs[u] - d, -d, -u
-
-    while left:
-        v = max(left, key=rank)
-        left.remove(v)
+    while heap:
+        _, left, _, v = heapq.heappop(heap)
+        if left != unfixed[v]:
+            continue  # stale: v is ordered, or a neighbour was fixed since
+        unfixed[v] = -1
         order.append(v)
         for d in out_darts[v]:
-            fixed_nbrs[tail[d ^ 1]] += 1
+            u = tail[d ^ 1]
+            if unfixed[u] > 0:
+                unfixed[u] -= 1
+                deg = len(out_darts[u])
+                heapq.heappush(heap, (deg != 2, unfixed[u], deg, u))
     return order
 
 

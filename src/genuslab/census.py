@@ -45,7 +45,6 @@ class CycleNeighborhood:
     vertices.
     """
 
-    cycle: tuple[int, ...]
     leaf_size: int
     good: int
     bad: int
@@ -91,7 +90,6 @@ def classify_cycle_neighborhood(G: Graph, cycle) -> CycleNeighborhood:
     deg, _, owned = _peel(G)
     good = int(np.count_nonzero(deg[once]))
     return CycleNeighborhood(
-        cycle=tuple(cyc),
         # each cycle vertex owns itself and its pendant trees
         leaf_size=int(owned[cyc].sum()) - k,
         good=good,

@@ -155,7 +155,8 @@ def genus_lower_bound_short_cycles(graph: Graph, max_cycle_length: int = 4) -> i
     unchanged for general graphs: pruning degree-1 vertices changes neither
     m - n + kappa nor the cycle census, so the value agrees with the bound on
     the 2-core whenever the graph has a cycle, and acyclic graphs return 0.
-    Raises CycleBudgetError past CYCLE_CAP cycles.
+    Raises CycleBudgetError past CYCLE_CAP cycles, unless the bound is 0
+    without any short cycle, in which case no census runs.
     """
     return _short_cycle_lower(graph, int(max_cycle_length), CYCLE_CAP)
 
@@ -178,10 +179,13 @@ def genus_lower_bound(graph: Graph, ell: int = 4) -> int:
 
 
 def _short_cycle_lower(graph: Graph, ell: int, cap: int) -> int:
-    """The short-cycle bound at ell from a census of at most cap cycles."""
-    acyclic = graph.m - graph.n + graph.component_count <= 0
-    short = 0 if acyclic else len(enumerate_cycles(graph, ell, cap=cap))
-    return _euler_lower(graph.n, graph.m, graph.component_count, ell, short)
+    """The short-cycle bound at ell from a census of at most cap cycles.
+    Short cycles only lower the bound, so no census runs when the bound
+    without them is already 0."""
+    n, m, kappa = graph.n, graph.m, graph.component_count
+    if _euler_lower(n, m, kappa, ell) == 0:
+        return 0
+    return _euler_lower(n, m, kappa, ell, len(enumerate_cycles(graph, ell, cap=cap)))
 
 
 def _euler_lower(n, m, kappa, ell: int, short=0):

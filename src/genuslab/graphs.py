@@ -630,8 +630,9 @@ def kernel(G: Graph) -> Kernel:
     return Kernel(core[branch], index[tail[start]], index[head[end]], offsets, inner, rings)
 
 
-# Most path prefixes enumerate_cycles expands at once; bounds its memory on
-# dense graphs, where the cycle count can pass the cap after a few batches.
+# Most path prefixes enumerate_cycles expands at once.  This bounds one
+# expansion, not the search: its stack keeps one remainder batch per depth,
+# so the peak memory grows with max_length.
 EXPAND_SLICE = 512
 # Most entries of the dart index enumerate_cycles builds for one block of
 # roots; at least (N + 1)**2 keeps a kernel of N vertices in one block.
@@ -662,9 +663,13 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     into the block and one row shared by all other vertices; a block takes
     as many roots as keep it within INDEX_ENTRIES entries, which is every
     root of a kernel of at most 511 vertices.  Within a block, a stack of
-    prefix batches, each cut to at most EXPAND_SLICE prefixes, is expanded
-    deepest first, so the memory stays bounded while the count is checked
-    against cap after each batch.
+    prefix batches is expanded deepest first, at most EXPAND_SLICE prefixes
+    at a time, and the count is checked against cap after each expansion.
+    The rest of a cut batch stays on the stack, so the stack holds one
+    remainder batch per depth; past the roots, a batch has at most
+    EXPAND_SLICE times the largest kernel degree prefixes, each as wide as
+    its depth.  So EXPAND_SLICE bounds one expansion, and the peak memory
+    grows with max_length.
     Vertex tuples are built only for the cycles found.
     """
     if max_length < 3:

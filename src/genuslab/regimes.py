@@ -3,12 +3,16 @@ the contiguity verdicts that follow from them.
 
 The limit theory splits the edge-count axis into ranges with distinct genus
 behaviour: genus zero below the critical window, a cubic-in-s law just past
-it, a genus-per-edge law mu(lambda) at linear densities, roughly m/2 for
-barely superlinear m, then a descent through j/(2(j+2)) plateaus down to
-m/6 at quadratic densities.  The conditions separating those ranges are
-asymptotic, so any finite-n classifier must pick explicit cutoffs; they are
-the module constants below, and the classifier is a total partition: every
-valid (n, m) lands in exactly one regime.
+it, a genus-per-edge law mu(lambda) at linear densities, then a descent
+through j/(2(j+2)) plateaus down to m/6 at quadratic densities.  The
+paper's law for barely superlinear m, genus (1+o(1)) m/2, is the limit of
+both its neighbours (mu(lambda) m -> m/2 as lambda grows, and
+j m/(2(j+2)) -> m/2 as j grows), so it needs no range of its own: the
+linear range ends at m = n ln n and the power-law regimes start there.
+The conditions separating the ranges are asymptotic, so any finite-n
+classifier must pick explicit cutoffs; they are the module constants
+below, and the classifier is a total partition: every valid (n, m) lands
+in exactly one of seven regimes.
 
 A uniform graph model constrained to genus at most g is contiguous with the
 unconstrained model (shares all its with-high-probability properties) once
@@ -32,14 +36,6 @@ WINDOW_EXPONENT = 2.0 / 3.0
 # The slightly supercritical range ends at s = SUPERCRITICAL_FRACTION * n;
 # the linear range then runs up to m = n ln n.
 SUPERCRITICAL_FRACTION = 0.1
-# The near-linear range ends at m = n**NEAR_LINEAR_EXPONENT.  It starts where
-# the linear range ends, so it is n ln n < m <= n**1.05, which is empty unless
-# ln n < n**0.05; for n >= 3 that needs ln n > 90 (n > 10**39), so the branch
-# is asymptotic only.
-NEAR_LINEAR_EXPONENT = 1.05
-# The near-linear prediction interval is [(1 - NEAR_LINEAR_SLACK) * m/2, m/2],
-# rendering its "1 - o(1)" lower constant.
-NEAR_LINEAR_SLACK = 0.1
 # Dense means m >= DENSE_FRACTION * n*(n-1)/2.
 DENSE_FRACTION = 0.25
 # With j = round(1/(log_n(m) - 1)) and j >= 2, a power-law boundary is
@@ -53,11 +49,11 @@ class RegimePrediction:
     """Classified regime of an (n, m) pair with its predicted genus.
 
     regime is one of planar_subcritical, critical_window,
-    slightly_supercritical, linear, near_linear, power_law_gap,
-    power_law_boundary and dense.  predicted_genus is a closed interval
-    (lo, hi); regimes with a pinpoint prediction have lo == hi.  parameters
-    carries the quantities the prediction was computed from (s, lambda, j,
-    alpha, or the window position c = s / n**(2/3), as applicable).
+    slightly_supercritical, linear, power_law_gap, power_law_boundary and
+    dense.  predicted_genus is a closed interval (lo, hi); regimes with a
+    pinpoint prediction have lo == hi.  parameters carries the quantities
+    the prediction was computed from (s, lambda, j, alpha, or the window
+    position c = s / n**(2/3), as applicable).
     """
 
     regime: str
@@ -122,19 +118,13 @@ def predict_genus(n: int, m: int) -> RegimePrediction:
             predicted_genus=(value, value),
             parameters={"lambda": lam},
         )
-    alpha = math.log(m) / math.log(n)
-    if m <= n**NEAR_LINEAR_EXPONENT:
-        return RegimePrediction(
-            regime="near_linear",
-            predicted_genus=((1.0 - NEAR_LINEAR_SLACK) * m / 2.0, m / 2.0),
-            parameters={"alpha": alpha},
-        )
     if m >= DENSE_FRACTION * pairs:
         return RegimePrediction(
             regime="dense",
             predicted_genus=(m / 6.0, m / 6.0),
             parameters={"density": m / pairs},
         )
+    alpha = math.log(m) / math.log(n)
     j_near = round(1.0 / (alpha - 1.0))
     if j_near >= 2:
         ratio = m / n ** (1.0 + 1.0 / j_near)
@@ -166,9 +156,9 @@ def contiguity_verdict(n: int, m: int | None, g: float, eps: float) -> Contiguit
     contiguous when g <= (1-eps) n^2/24.  With m given, the thresholds come
     from the regime prediction: above (1+eps) times its upper value the
     constraint is whp inactive, below (1-eps) times its lower value the
-    constraint whp excludes the typical graph.  In the near-linear regime
-    the upper threshold is m/2 exactly (no graph with m edges exceeds genus
-    m/2, so the constraint is vacuous there).  The subcritical and
+    constraint whp excludes the typical graph.  The upper threshold is
+    never above m/2: no graph with m edges has genus above m/2, so the
+    constraint is vacuous from there on.  The subcritical and
     critical-window regimes are outside the treated tables and always
     return undetermined.
     """
@@ -189,14 +179,8 @@ def contiguity_verdict(n: int, m: int | None, g: float, eps: float) -> Contiguit
     if pred.regime in ("planar_subcritical", "critical_window"):
         return ContiguityVerdict.UNDETERMINED
     lo, hi = pred.predicted_genus
-    if pred.regime == "near_linear":
-        upper = hi  # m/2, sharp: genus can never exceed m/2
-        lower = (1.0 - eps) * hi
-    else:
-        upper = (1.0 + eps) * hi
-        lower = (1.0 - eps) * lo
-    if g >= upper:
+    if g >= min((1.0 + eps) * hi, m / 2.0):
         return ContiguityVerdict.CONTIGUOUS
-    if g <= lower:
+    if g <= (1.0 - eps) * lo:
         return ContiguityVerdict.NOT_CONTIGUOUS
     return ContiguityVerdict.UNDETERMINED

@@ -20,7 +20,7 @@ from genuslab import (
     trial_rng,
     two_core,
 )
-from brute_force import brute_genus, rotation_space, search_block_reference
+from brute_force import _vertex_order, brute_genus, rotation_space, search_block_reference
 
 
 def _wheel(rim: int) -> Graph:
@@ -346,6 +346,27 @@ def test_search_matches_the_reference_kernel(monkeypatch, fixtures, corpus6) -> 
         assert result == _outcome(g, b), (g.edge_list(), b)
     for (out, girth, b), result in zip(blocks, searched):
         assert result == search_block_reference(out, girth, 0, b), (out, b)
+
+
+def _subdivided(g: Graph, k: int) -> Graph:
+    """g with every edge replaced by a path through k new vertices."""
+    n, edges = g.n, []
+    for u, v in g.edge_list():
+        path = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
+def test_vertex_order_matches_the_reference_on_long_blocks() -> None:
+    # blocks far past the reference search's reach, almost all of whose
+    # vertices have degree 2, and a random graph whose degrees vary
+    graphs = [_subdivided(complete_graph(5), 100), _subdivided(complete_bipartite_graph(3, 3), 60),
+              _subdivided(gnm(12, 30, trial_rng(41, 0)), 3)]
+    for g in graphs:
+        out_darts, _ = _darts(g)
+        assert _genus_search._vertex_order(out_darts) == _vertex_order(out_darts)
+    assert exact_genus(graphs[0]).genus == 1
 
 
 def test_search_memory_stays_bounded() -> None:

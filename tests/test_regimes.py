@@ -14,8 +14,8 @@ from genuslab import (
 
 
 def test_regime_names_are_distinct() -> None:
-    # the cutoff points reach all eight regimes
-    assert len({predict_genus(n, m).regime for n, m, _ in CUTOFF_POINTS}) == 8
+    # the cutoff points reach all seven regimes
+    assert len({predict_genus(n, m).regime for n, m, _ in CUTOFF_POINTS}) == 7
 
 
 def test_prediction_examples() -> None:
@@ -43,21 +43,9 @@ def test_prediction_examples() -> None:
     assert predict_genus(10**5, 1_400_000).regime == "power_law_boundary"
 
 
-# m lies between n ln n ~ 9.2e41 and n**1.05 = 1e42, so it is near-linear
-NEAR_LINEAR_N, NEAR_LINEAR_M = 10**40, 10**42 - 10**40
-
-
-def test_near_linear_regime_at_ten_to_the_forty() -> None:
-    p = predict_genus(NEAR_LINEAR_N, NEAR_LINEAR_M)
-    assert p.regime == "near_linear"
-    lo, hi = p.predicted_genus
-    assert hi == pytest.approx(NEAR_LINEAR_M / 2)
-    assert lo == pytest.approx(0.9 * NEAR_LINEAR_M / 2)
-
-
-def test_near_linear_is_unreachable_under_default_thresholds() -> None:
-    # n ln n < m <= n**1.05 is empty here: m just above n ln n is already
-    # past n**1.05, and m at n**1.05 is still below n ln n
+def test_linear_range_ends_at_n_ln_n() -> None:
+    # the power-law regimes start right past n ln n, and m = n**1.05 is
+    # still below n ln n here
     n = 10**6
     assert predict_genus(n, math.floor(n * math.log(n)) + 1).regime == "power_law_boundary"
     assert predict_genus(n, math.ceil(n**1.05)).regime == "linear"
@@ -78,9 +66,9 @@ CUTOFF_POINTS = [
     (10**6, 13_815_510, "linear"),
     (10**6, 13_815_511, "power_law_boundary"),
     (10**40, 921_034 * 10**36, "linear"),
-    (10**40, 921_035 * 10**36, "near_linear"),
-    # m = n**1.05 = 10**42
-    (10**40, 10**42 - 10**40, "near_linear"),
+    (10**40, 921_035 * 10**36, "power_law_boundary"),
+    # m = n**1.05 = 10**42 is inside the j = 20 boundary band
+    (10**40, 10**42 - 10**40, "power_law_boundary"),
     (10**40, 10**42 + 10**40, "power_law_boundary"),
     # m = 0.25 * n(n-1)/2 = 124,875 at n = 1000
     (1000, 124_874, "power_law_gap"),
@@ -153,11 +141,16 @@ def test_contiguity_in_the_linear_regime() -> None:
     assert contiguity_verdict(n, m, int(center), 0.01) is ContiguityVerdict.UNDETERMINED
 
 
-def test_contiguity_near_linear_upper_threshold_is_sharp() -> None:
-    n, m = NEAR_LINEAR_N, NEAR_LINEAR_M
-    assert contiguity_verdict(n, m, m // 2, 0.1) is ContiguityVerdict.CONTIGUOUS
-    assert contiguity_verdict(n, m, m // 2 - m // 400, 0.1) is ContiguityVerdict.UNDETERMINED
-    assert contiguity_verdict(n, m, 4 * m // 10, 0.1) is ContiguityVerdict.NOT_CONTIGUOUS
+def test_contiguity_holds_from_m_over_2() -> None:
+    # at lambda = 10, (1 + eps) mu(lambda) m passes m/2, yet no graph with
+    # m edges has genus above m/2, so g = m/2 already makes the constraint
+    # vacuous
+    n, m, eps = 10**5, 10**6, 0.2
+    assert predict_genus(n, m).regime == "linear"
+    assert (1.0 + eps) * genus_per_edge(10.0) * m > m / 2
+    assert contiguity_verdict(n, m, m // 2, eps) is ContiguityVerdict.CONTIGUOUS
+    assert contiguity_verdict(n, m, m // 2 - 1, eps) is ContiguityVerdict.UNDETERMINED
+    assert contiguity_verdict(n, m, 0.79 * genus_per_edge(10.0) * m, eps) is ContiguityVerdict.NOT_CONTIGUOUS
 
 
 def test_contiguity_of_the_all_graphs_model() -> None:
