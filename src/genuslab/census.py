@@ -188,7 +188,6 @@ def supercritical_report(
     s: int,
     seed=None,
     ell: int | None = None,
-    a: float | None = None,
     cap: int = CYCLE_CAP,
 ) -> SupercriticalReport:
     """Generate one uniform graph with n/2 + s edges and report the core
@@ -196,9 +195,10 @@ def supercritical_report(
 
     ell is the short-cycle census length (default floor(n/s), the natural
     length unit of the regime) used both for short_cycle_count and for the
-    genus lower bound on the core; a is the census parameter (default
-    0.5 * ln(s^3/n^2), a slowly growing choice).  Outside n^(2/3) < s < n/2
-    the regime assumptions are off and a warning is issued.
+    genus lower bound on the core.  The census parameter is
+    a = max(0, 0.5 * ln(s^3/n^2)), a slowly growing choice that leaves the
+    census empty below the window.  Outside n^(2/3) < s < n/2 the regime
+    assumptions are off and a warning is issued.
 
     G is peeled once and its cycles are enumerated once, up to the longer
     of ell and the census length L = floor(a*n/s).  short_cycle_count
@@ -221,9 +221,8 @@ def supercritical_report(
             stacklevel=2,
         )
     m = n // 2 + s
-    if a is None:
-        # below the window ln(s^3/n^2) < 0; an empty census beats a crash
-        a = max(0.0, 0.5 * math.log(s**3 / n**2))
+    # below the window ln(s^3/n^2) < 0; an empty census beats a crash
+    a = max(0.0, 0.5 * math.log(s**3 / n**2))
     if ell is None:
         ell = max(3, math.floor(n / s))
     length = _census_length(n, s, a)

@@ -344,7 +344,7 @@ def _cmd_contiguity(ns) -> int:
 
 def _cmd_census(ns) -> int:
     trial = functools.partial(_census_trial, ns.n, ns.s, ns.seed,
-                              ell=ns.ell, a=ns.a, cap=ns.cap)
+                              ell=ns.ell, cap=ns.cap)
     reports, seconds = _run_trials(trial, ns.trials, ns.jobs)
     rows = [
         {"trial_index": i, "seed": f"{ns.seed}:{i}", **asdict(rep)}
@@ -592,8 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=_positive_int, default=10)
     q.add_argument("--ell", type=int, default=None,
                    help="short cycle length (default floor(n/s))")
-    q.add_argument("--a", type=float, default=None,
-                   help="census parameter (default 0.5*ln(s^3/n^2))")
     q.add_argument("--cap", type=_positive_int, default=CYCLE_CAP)
     _add_output(q)
     _add_trials(q)
@@ -604,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = mc_sub.add_parser("kappa", help="component count concentration")
     q.add_argument("--n", type=_positive_int, default=100_000)
     q.add_argument("--lam", type=float, nargs="+",
-                   default=(0.25, 0.5, 1.0, 2.0),
+                   default=KAPPA_LAMBDAS,
                    help="edge densities m = floor(lam*n)")
     q.add_argument("--trials", type=_positive_int, default=10)
     _add_output(q)

@@ -372,7 +372,7 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
             lower = 1
             girth = _girth_upper(adj)
         space = sum(math.lgamma(len(outs)) for outs in out_darts)
-        searchable.append((space, lower, (ne - nv + 1) // 2, verts, out_darts, heads, girth))
+        searchable.append((space, lower, _rank_upper(nv, ne, 1), verts, out_darts, heads, girth))
     # cheap blocks first so a budget overrun brackets as tightly as possible
     searchable.sort(key=lambda t: t[0])
 

@@ -11,8 +11,10 @@ what makes the genus of bounded-degree graphs fragile under perturbation.
 The pieces and cores depend only on the base graph, l and Delta, so
 fragile_experiment computes them once per (l, Delta) and caches them on the
 base Graph; the trials of a run that share a base graph decompose it once
-and then only draw pairs, contract them and bound the quotient.  The
-contraction maps the drawn pairs through the decomposition's core-owner
+and then only draw pairs, contract them and bound the quotient.  Both
+steps of the construction run here: select_cores finds every core with one
+graphs.bfs_tree search from a hub vertex joined to each piece, and
+build_quotient maps the drawn pairs through the decomposition's core-owner
 array (PieceDecomposition.owner) with one gather and one sorted dedupe.
 """
 
@@ -30,7 +32,15 @@ from .embeddings import (
     genus_upper_bound,
     perturbation_upper_bound,
 )
-from .graphs import Graph, _as_edge_array, _bfs, _contract_pairs, _owner_array, bfs_tree
+from .graphs import (
+    Graph,
+    GraphError,
+    _as_edge_array,
+    _decode_pairs,
+    _distinct,
+    _encode_pairs,
+    bfs_tree,
+)
 from .random_models import uniform_pairs
 
 
@@ -67,8 +77,23 @@ class PieceDecomposition:
         """Read-only map from each vertex to the index of its core, or -1
         outside every core, built once per decomposition.  Its last entry
         is -1 and lies past the largest core vertex, so it also stands for
-        every vertex beyond.  Not a field: == and hash ignore it."""
-        return _owner_array(self.cores)
+        every vertex beyond.  Not a field: == and hash ignore it.
+
+        The cores are concatenated once; a vertex counted twice means two
+        cores overlap.  Raises GraphError for an empty core, a negative
+        member, or overlapping cores."""
+        sizes = np.array([len(core) for core in self.cores], dtype=np.int64)
+        if (sizes == 0).any():
+            raise GraphError("contraction sets must be nonempty")
+        flat = np.fromiter(chain.from_iterable(self.cores), dtype=np.int64)
+        if flat.size and flat.min() < 0:
+            raise GraphError("vertex out of range")
+        if np.bincount(flat).max(initial=0) > 1:
+            raise GraphError("contraction sets must be disjoint")
+        owner = np.full(int(flat.max(initial=-1)) + 2, -1, dtype=np.int64)
+        owner[flat] = np.repeat(np.arange(len(sizes)), sizes)
+        owner.setflags(write=False)
+        return owner
 
 
 @dataclass(frozen=True)
@@ -185,39 +210,31 @@ def decompose_into_pieces(H: Graph, l: int, Delta: int) -> PieceDecomposition:
     return PieceDecomposition(l=l, Delta=Delta, pieces=pieces, cores=())
 
 
-def _search_within_labels(H: Graph, label: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Breadth-first order of the vertices reached from a super-root joined
-    to starts, over the darts of H whose two ends share a label."""
-    n = H.n
-    inside = np.repeat(label, H.degrees()) == label[H._indices]
-    # int32, the index type scipy's graph searches run in, saves a copy
-    kept = np.zeros(len(inside) + 1, dtype=np.int32)
-    np.cumsum(inside, out=kept[1:])
-    indptr = np.append(kept[H._indptr], kept[-1] + len(starts))
-    indices = np.concatenate([H._indices[inside], starts], dtype=np.int32)
-    return _bfs(n + 1, indptr, indices, n)[0][1:]
-
-
 def select_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
     """Shrink each piece to a connected core of the common size s.
 
     The core is the first s vertices of a breadth-first traversal of the
     piece from its first vertex, which is the same as repeatedly pruning a
     leaf of the piece's spanning tree until s vertices remain.  All pieces
-    are searched at once: one search runs over the darts inside pieces,
-    from a super-root joined to each piece's first vertex.  The pieces are
-    not joined to each other, so the vertices of one piece appear in that
-    search in the order of the piece's own breadth-first traversal.
-    Vertices outside every piece share the label -1; no start is among
-    them, so nothing reaches them.
+    are searched at once, by bfs_tree from a hub: a new vertex n joined to
+    each piece's first vertex, in a graph that keeps only the edges of H
+    whose two ends share a piece label.  The pieces are not joined to each
+    other, so the vertices of one piece appear in that search in the order
+    of the piece's own breadth-first traversal.  Vertices outside every
+    piece share the label -1; no start is among them, so nothing reaches
+    them.
     """
     t = len(d.pieces)
     label = np.full(H.n, -1, dtype=np.int32)
     label[np.fromiter(chain.from_iterable(d.pieces), dtype=np.int64)] = np.repeat(
         np.arange(t), [len(piece) for piece in d.pieces]
     )
-    starts = np.array([piece[0] for piece in d.pieces], dtype=np.int64)
-    order = _search_within_labels(H, label, starts)
+    e = H.edge_array
+    starts = np.sort(np.array([piece[0] for piece in d.pieces], dtype=np.int64))
+    # n is the largest label, so the hub rows sort last in colex order
+    hub = np.column_stack([starts, np.full(t, H.n, dtype=np.int64)])
+    inside = label[e[:, 0]] == label[e[:, 1]]
+    order = bfs_tree(Graph._from_canonical(H.n + 1, np.concatenate([e[inside], hub])), H.n)[0][1:]
     # rank of each reached vertex within its piece, in search order
     by_piece = order[np.argsort(label[order], kind="stable")]
     counts = np.bincount(label[by_piece], minlength=t)
@@ -236,10 +253,22 @@ def build_quotient(d: PieceDecomposition, edges) -> Graph:
     the graph formed by the given edges; since each core is connected in
     the base graph, the result is a minor of the union of base graph and
     given edges, and its genus is a valid lower bound for that union.
+
+    The edges may reach past the last core member, repeat a pair or list
+    it in either orientation: d.owner's last entry -1 is read for every
+    vertex at or beyond it, one gather maps the pairs to core indices and
+    _distinct of their colex codes drops the repeats.
     """
     if not d.cores:
         raise DecompositionError("cores have not been selected")
-    return _contract_pairs(d.owner, len(d.cores), _as_edge_array(edges))
+    edges = _as_edge_array(edges)
+    if edges.size and edges.min() < 0:
+        raise GraphError("edge endpoint out of range")
+    ends = np.take(d.owner, edges, mode="clip")
+    ends.sort(axis=1)
+    ends = ends[(ends[:, 0] >= 0) & (ends[:, 0] != ends[:, 1])]
+    codes = _distinct(_encode_pairs(ends[:, 0], ends[:, 1]))
+    return Graph._from_canonical(len(d.cores), _decode_pairs(codes))
 
 
 def count_good_edges(d: PieceDecomposition, edges_in_order) -> int:

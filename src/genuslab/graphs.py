@@ -1,6 +1,6 @@
 """Simple undirected graphs and the structural operations the rest of the
-package builds on: components, 2-cores, kernels, induced subgraphs,
-quotients, and bounded-length cycle enumeration.
+package builds on: components, 2-cores, kernels, induced subgraphs and
+bounded-length cycle enumeration.
 
 Vertices are the integers 0..n-1.  Self-loops and parallel edges are
 rejected.  Storage is a canonical int64 edge array (pairs u < v sorted by
@@ -10,9 +10,9 @@ validates and sorts its input; code that holds canonical edges already
 builds through Graph._from_canonical.
 
 Only component labels (Graph._components, behind component_count and
-component_labels) and breadth-first search (_bfs, behind bfs_tree) run in
-scipy, through the adapter _csr_matrix; each imports scipy.sparse when
-first called.  giant_vertices, behind giant_component, labels only the
+component_labels) and breadth-first search (bfs_tree) run in scipy,
+through the adapter _csr_matrix; each imports scipy.sparse when first
+called.  giant_vertices, behind giant_component, labels only the
 2-core in scipy and sizes each component by the vertices the 2-core peel's
 forest maps to it.  Everything else here, the 2-core, kernel and cycle
 enumeration included, runs on numpy alone.  induced_subgraph and kernel
@@ -35,10 +35,6 @@ _cored, the cored piece decompositions that fragile.fragile_experiment
 computed for it as a base graph, one per (l, Delta).  A Graph is
 immutable, so no cache is ever invalidated, and none takes part in == or
 hash.
-
-fragile.build_quotient contracts through two helpers here: an owner array
-maps each vertex to its set (_owner_array), and _contract_pairs maps the
-pairs through it with one gather and drops repeats with _distinct.
 
 Integer arrays are deduplicated by _distinct, one sort and a comparison
 of neighbours: numpy 2's np.unique hashes instead, which is many times
@@ -86,26 +82,13 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr
 
 
-def _csr_matrix(n: int, indptr: np.ndarray, indices: np.ndarray):
-    """scipy view of a CSR adjacency on 0..n-1, every dart of weight 1.0;
-    float64 is the weight type scipy's graph routines work in, so they make
-    no copy of the weights."""
+def _csr_matrix(G: Graph):
+    """scipy view of G's CSR adjacency, every dart of weight 1.0; float64
+    is the weight type scipy's graph routines work in, so they make no
+    copy of the weights."""
     from scipy.sparse import csr_matrix
 
-    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-
-
-def _bfs(n: int, indptr: np.ndarray, indices: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """bfs_tree over a CSR adjacency, whose darts are followed as given."""
-    if not 0 <= root < n:
-        raise GraphError("root out of range")
-    from scipy.sparse.csgraph import breadth_first_order
-
-    order, parent = breadth_first_order(
-        _csr_matrix(n, indptr, indices), root, directed=True, return_predecessors=True
-    )
-    parent[parent < 0] = -1  # scipy marks the root and unreached vertices -9999
-    return order, parent
+    return csr_matrix((np.ones(len(G._indices)), G._indices, G._indptr), shape=(G.n, G.n))
 
 
 def _encode_pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -249,8 +232,7 @@ class Graph:
             else:
                 from scipy.sparse.csgraph import connected_components
 
-                mat = _csr_matrix(self._n, self._indptr, self._indices)
-                ncomp, labels = connected_components(mat, directed=False)
+                ncomp, labels = connected_components(_csr_matrix(self), directed=False)
                 self._ncomp, self._labels = int(ncomp), labels
         return self._ncomp, self._labels
 
@@ -282,7 +264,13 @@ def bfs_tree(G: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     reached v, or -1 for the root and for every vertex not reached.  The
     search runs in scipy over G's own CSR, which holds both dart directions.
     """
-    return _bfs(G.n, G._indptr, G._indices, root)
+    if not 0 <= root < G.n:
+        raise GraphError("root out of range")
+    from scipy.sparse.csgraph import breadth_first_order
+
+    order, parent = breadth_first_order(_csr_matrix(G), root)
+    parent[parent < 0] = -1  # scipy marks the root and unreached vertices -9999
+    return order, parent
 
 
 @dataclass(frozen=True)
@@ -484,51 +472,6 @@ def giant_vertices(G: Graph) -> np.ndarray:
 def giant_component(G: Graph) -> InducedSubgraph:
     """Largest connected component; ties broken by smallest contained label."""
     return induced_subgraph(G, giant_vertices(G))
-
-
-def _owner_array(sets) -> np.ndarray:
-    """Read-only map from each vertex 0..n-1, n one past the largest member,
-    to the index of the set holding it, or -1 for a vertex in none, followed
-    by one more -1 that stands for every vertex beyond n - 1 (see
-    _contract_pairs).
-
-    The sets are concatenated once; a vertex counted twice means two sets
-    overlap.  Raises GraphError for an empty set, a negative member, or
-    overlapping sets.
-    """
-    members = [s if isinstance(s, np.ndarray) else list(s) for s in sets]
-    sizes = np.array([len(s) for s in members], dtype=np.int64)
-    if (sizes == 0).any():
-        raise GraphError("contraction sets must be nonempty")
-    flat = np.concatenate(members, dtype=np.int64) if members else np.zeros(0, dtype=np.int64)
-    n = int(flat.max(initial=-1)) + 1
-    if flat.size and flat.min() < 0:
-        raise GraphError("vertex out of range")
-    if np.bincount(flat).max(initial=0) > 1:
-        raise GraphError("contraction sets must be disjoint")
-    owner = np.full(n + 1, -1, dtype=np.int64)
-    owner[flat] = np.repeat(np.arange(len(members)), sizes)
-    owner.setflags(write=False)
-    return owner
-
-
-def _contract_pairs(owner: np.ndarray, count: int, edges: np.ndarray) -> Graph:
-    """Graph on 0..count-1 joining owner[u] and owner[v] for every row
-    (u, v) of the (k, 2) array edges whose ends lie in two different sets.
-
-    owner is an _owner_array, whose last entry -1 is read for every vertex
-    at or beyond it, so edges may reach past the last set member; they may
-    also repeat a pair or list it in either orientation.  One gather maps
-    the pairs to set indices and _distinct of their colex codes drops the
-    repeats.
-    """
-    if edges.size and edges.min() < 0:
-        raise GraphError("edge endpoint out of range")
-    ends = np.take(owner, edges, mode="clip")
-    ends.sort(axis=1)
-    ends = ends[(ends[:, 0] >= 0) & (ends[:, 0] != ends[:, 1])]
-    codes = _distinct(_encode_pairs(ends[:, 0], ends[:, 1]))
-    return Graph._from_canonical(count, _decode_pairs(codes))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import genuslab
 
+_ROOT = Path(__file__).resolve().parent.parent
 # Runs in a fresh interpreter, so nothing the test session imported counts.
 _PROGRAM = """
 import contextlib, io, json, sys
@@ -48,14 +51,55 @@ def test_exact_pipeline_loads_no_scipy_submodule() -> None:
     assert doc["cycle_count_limit"] == genuslab.cycle_count_limit(1.0)
 
 
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_traced_bench_names_resolve() -> None:
     # the bench's tracer wraps these names and its environment record reads
     # HAVE_NUMBA; renaming one away breaks traced runs, not the suite
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_spans()
     for module, name in spans.TRACED:
         assert callable(getattr(importlib.import_module(f"genuslab.{module}"), name)), (module, name)
     assert set(spans.MODULES) >= {module for module, _ in spans.TRACED}
     assert isinstance(importlib.import_module("genuslab._genus_search").HAVE_NUMBA, bool)
+
+
+def _reads(tree: ast.AST) -> list[str]:
+    """The names a tree reads: loaded names, attributes and imported names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name)
+    return out
+
+
+def test_every_src_name_has_a_reader_outside_the_tests() -> None:
+    # a module-level name of src that only tests/ reads is dead code kept
+    # alive by its own test; the bench's tracer reaches TRACED by string
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src/genuslab", "perfbench") for path in (_ROOT / folder).glob("*.py")}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    reads.update(name for _, name in _bench_spans().TRACED)
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "genuslab" or path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = Counter(_reads(node))
+            unread += [f"{path.name}:{name}" for name in names if reads[name] <= own[name]]
+    assert unread == []
