@@ -200,8 +200,9 @@ def supercritical_report(
     census empty below the window.  Outside n^(2/3) < s < n/2 the regime
     assumptions are off and a warning is issued.
 
-    G is peeled once and its cycles are enumerated once, up to the longer
-    of ell and the census length L = floor(a*n/s).  short_cycle_count
+    G is peeled once, its kernel built once for both the giant and the
+    cycle search, and its cycles enumerated once, up to the longer of ell
+    and the census length L = floor(a*n/s).  short_cycle_count
     counts the cycles of length at most ell that lie in the giant, and the
     census classifies those of length at most L.  The giant's 2-core is
     never built: its vertex and edge counts come from the cached core

@@ -12,25 +12,28 @@ builds through Graph._from_canonical.
 Only component labels (Graph._components, behind component_count and
 component_labels) and breadth-first search (bfs_tree) run in scipy,
 through the adapter _csr_matrix; each imports scipy.sparse when first
-called.  giant_vertices, behind giant_component, labels only the
-2-core in scipy and sizes each component by the vertices the 2-core peel's
-forest maps to it.  Everything else here, the 2-core, kernel and cycle
-enumeration included, runs on numpy alone.  induced_subgraph and kernel
-relabel dart heads by a gather from one n-long map in the CSR index dtype.
-kernel pairs each core dart with its reverse by inverting one argsort,
-finds its chains by pointer jumping over the core darts and walks only
-rings vertex by vertex; enumerate_cycles grows path prefixes over the
-kernel as arrays, in batches of at most EXPAND_SLICE, and builds vertex
-tuples only for the cycles it finds.  Its roots run in blocks, each with a
-direct index of at most INDEX_ENTRIES entries over the sorted kernel darts:
-a prefix starts at the first dart of its end past its root, and the darts
-that close a step are read by two gathers, with no search.
+called.  Everything else here runs on numpy alone: the 2-core, the
+kernel, cycle enumeration, and giant_vertices (behind giant_component),
+which labels only the 2-core's components, from the kernel, and sizes
+each component by the vertices the 2-core peel's forest maps to it.
+induced_subgraph and kernel relabel dart heads by a gather from one
+n-long map in the CSR index dtype.  kernel pairs each core dart with its
+reverse by inverting one argsort, finds its chains by pointer jumping
+over the core darts, stopping after the first round that ends no chain
+dart, and walks only rings vertex by vertex; enumerate_cycles grows
+path prefixes over the kernel as arrays, in batches of at most
+EXPAND_SLICE, and builds vertex tuples only for the cycles it finds.  Its
+roots run in blocks, each with a direct index of at most INDEX_ENTRIES
+entries over the sorted kernel darts: a prefix starts at the first dart
+of its end past its root, and the darts that close a step are read by
+two gathers, with no search.
 
-A Graph caches its component labels and the read-only result of its
-2-core peel (_peel: the core degrees behind two_core, kernel and
-enumerate_cycles, the forest, and the count of vertices the forest maps
-to each vertex, behind giant_vertices and the cycle census), each
-computed at most once, whichever function asks first.  It also holds, in
+A Graph caches its component labels, the read-only result of its 2-core
+peel (_peel: the core degrees behind two_core and kernel, the forest, and
+the count of vertices the forest maps to each vertex, behind
+giant_vertices and the cycle census) and its kernel, with read-only
+arrays, behind giant_vertices and enumerate_cycles; each is computed at
+most once, whichever function asks first.  It also holds, in
 _cored, the cored piece decompositions that fragile.fragile_experiment
 computed for it as a base graph, one per (l, Delta).  A Graph is
 immutable, so no cache is ever invalidated, and none takes part in == or
@@ -131,7 +134,8 @@ class Graph:
     int32 (_index_dtype), and int64 beyond.
     """
 
-    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_peeled", "_cored")
+    __slots__ = ("_n", "_edges", "_indptr", "_indices", "_labels", "_ncomp", "_peeled", "_kernel",
+                 "_cored")
 
     def __init__(self, n: int, edges=()):
         n = int(n)
@@ -188,6 +192,7 @@ class Graph:
         self._labels = None
         self._ncomp = None
         self._peeled = None
+        self._kernel = None
         self._cored = None
 
     @property
@@ -434,46 +439,6 @@ def two_core(G: Graph) -> InducedSubgraph:
     return induced_subgraph(G, np.flatnonzero(_core_degrees(G) > 0))
 
 
-def giant_vertices(G: Graph) -> np.ndarray:
-    """Vertices of the largest connected component, ascending; ties broken
-    by the smallest contained vertex.
-
-    Only the 2-core is labelled, by Graph._components on two_core(G).  The
-    peel's forest maps each component to its core vertices, or else to its
-    root, so a component's size is the sum of the owned counts (_peel) of
-    those vertices.  The winner's vertices are the ones the forest maps
-    into it, found by one gather of a mask.
-    """
-    if G.n == 0:
-        raise GraphError("empty graph has no components")
-    deg, forest, owned = _peel(G)
-    core = two_core(G)
-    labels = core.graph._components()[1]
-    sizes = np.bincount(labels, weights=owned[core.old_labels])
-    tree = deg == 0
-    tree_top = int(owned.max(where=tree, initial=0))
-    top = max(int(sizes.max(initial=0)), tree_top)
-    # mark the core vertices or the root of every largest component
-    mark = np.zeros(G.n, dtype=bool)
-    mark[core.old_labels[sizes[labels] == top]] = True
-    roots = np.flatnonzero(tree & (owned == top)) if tree_top == top else []
-    mark[roots] = True
-    if np.count_nonzero(sizes == top) + len(roots) > 1:
-        # the least vertex of a largest component names the winner
-        rep = forest[np.argmax(mark[forest])]
-        mark[:] = False
-        if deg[rep]:
-            mark[core.old_labels[labels == labels[np.searchsorted(core.old_labels, rep)]]] = True
-        else:
-            mark[rep] = True
-    return np.flatnonzero(mark[forest])
-
-
-def giant_component(G: Graph) -> InducedSubgraph:
-    """Largest connected component; ties broken by smallest contained label."""
-    return induced_subgraph(G, giant_vertices(G))
-
-
 @dataclass(frozen=True)
 class Kernel:
     """The 2-core of a graph with its degree-2 chains suppressed.
@@ -494,7 +459,7 @@ class Kernel:
     head: np.ndarray
     offsets: np.ndarray
     inner: np.ndarray
-    rings: list[tuple[int, ...]]
+    rings: tuple[tuple[int, ...], ...]
 
     @property
     def length(self) -> np.ndarray:
@@ -503,7 +468,8 @@ class Kernel:
 
 
 def kernel(G: Graph) -> Kernel:
-    """Kernel of G, from the 2-core peel cached on G, on arrays.
+    """Kernel of G, from the 2-core peel cached on G, on arrays; cached on
+    G with read-only arrays, so it is built at most once.
 
     The core darts are numbered in CSR order, their heads relabeled to core
     indices by one gather from an n-long map, and each is paired with its
@@ -511,12 +477,15 @@ def kernel(G: Graph) -> Kernel:
     O(n) plus a sort of the core darts.  A dart into a vertex of core
     degree 2 steps to that vertex's other dart, and pointer jumping follows
     the steps to give every dart the last dart of its chain and the number
-    of darts after it.  A chain starts at each dart leaving a kernel vertex;
+    of darts after it, stopping after the first round that ends no chain
+    dart.  A chain starts at each dart leaving a kernel vertex;
     of its two orientations the one whose first dart comes first is kept,
     so the chains are listed by tail, then by the first vertex after it.
     The darts whose steps never reach a kernel vertex lie on rings, which
     are walked one vertex at a time.
     """
+    if G._kernel is not None:
+        return G._kernel
     deg = _core_degrees(G)
     core = np.flatnonzero(deg > 0)
     cdeg = deg[core].astype(np.int64)
@@ -535,12 +504,18 @@ def kernel(G: Graph) -> Kernel:
     rev[np.argsort(head * core.size + tail)] = np.arange(head.size)
     through = cdeg[head] == 2
     step = np.where(through, 2 * first[head] + 1 - rev, np.arange(head.size))
-    # after these rounds every chain dart jumps to its chain's last dart
+    # round k ends the chain darts 2^(k-1) + 1 to 2^k steps from their
+    # chain's end, and a chain has a dart at every distance up to its
+    # longest; so once a round ends none, only ring darts step on
     last, after = step, through.astype(np.int64)
-    for _ in range(int(np.count_nonzero(cdeg == 2)).bit_length()):
+    left = np.count_nonzero(through)  # darts still stepping
+    while True:
         after = after + after[last]
         last = last[last]
-    on_ring = through[last]
+        on_ring = through[last]
+        left, before = np.count_nonzero(on_ring), left
+        if left == before:
+            break
     branch = cdeg >= 3
     index = np.cumsum(branch) - 1  # kernel index of each branch vertex
     start = np.flatnonzero(branch[tail])
@@ -570,7 +545,95 @@ def kernel(G: Graph) -> Kernel:
                 d = steps[d]
             walked.update(ring)
             rings.append(tuple(core[ring].tolist()))
-    return Kernel(core[branch], index[tail[start]], index[head[end]], offsets, inner, rings)
+    K = Kernel(core[branch], index[tail[start]], index[head[end]], offsets, inner, tuple(rings))
+    for a in (K.vertices, K.tail, K.head, K.offsets, K.inner):
+        a.setflags(write=False)
+    G._kernel = K
+    return K
+
+
+def _core_components(K: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(core, labels): every vertex of the 2-core whose kernel is K, once,
+    and labels equal exactly on the vertices of one core component.
+
+    The kernel vertices joined by chains are labelled in whole-array
+    rounds.  Each vertex finds the least label among its neighbours', by
+    one reduceat over the chain ends grouped by vertex, and takes it if it
+    is below its own; each label then takes the least found by the
+    vertices it labels, by one sort, so whole groups merge in a round and
+    a kernel of large diameter needs no more rounds than a random one.
+    The labels pointer-jump until none moves.  Once a round changes no
+    label, every chain joins two equal labels.  The inner vertices of a
+    chain take the label of its ends, and each ring is one component.
+    """
+    N = K.vertices.size
+    label = np.arange(N)
+    if N:
+        # every kernel vertex ends a chain, so each has a group of darts
+        tails = np.concatenate([K.tail, K.head])
+        order = np.argsort(tails, kind="stable")
+        heads = np.concatenate([K.head, K.tail])[order]
+        starts = np.flatnonzero(np.diff(tails[order], prepend=-1))
+        while True:
+            near = np.minimum.reduceat(label[heads], starts)
+            low = np.minimum(label, near)
+            # every label also takes the least near over the vertices it
+            # labels, by one sort grouping (label, near) keys by label
+            hook = np.sort(label * N + near)
+            first = np.flatnonzero(np.diff(hook // N, prepend=-1))
+            root, near = np.divmod(hook[first], N)
+            low[root] = np.minimum(low[root], near)
+            jumped = low[low]
+            while not np.array_equal(jumped, low):
+                low, jumped = jumped, jumped[jumped]
+            if np.array_equal(low, label):
+                break
+            label = low
+    rings = [len(ring) for ring in K.rings]
+    core = np.concatenate([K.vertices, K.inner,
+                           np.array([v for ring in K.rings for v in ring], dtype=np.int64)])
+    labels = np.concatenate([label, np.repeat(label[K.tail], np.diff(K.offsets)),
+                             np.repeat(np.arange(N, N + len(rings)), rings)])
+    return core, labels
+
+
+def giant_vertices(G: Graph) -> np.ndarray:
+    """Vertices of the largest connected component, ascending; ties broken
+    by the smallest contained vertex.
+
+    Only the 2-core is labelled, from the kernel cached on G
+    (_core_components).  The peel's forest maps each component to its core
+    vertices, or else to its root, so a component's size is the sum of the
+    owned counts (_peel) of those vertices.  The winner's vertices are the
+    ones the forest maps into it, found by one gather of a mask.
+    """
+    if G.n == 0:
+        raise GraphError("empty graph has no components")
+    deg, forest, owned = _peel(G)
+    core, labels = _core_components(kernel(G))
+    sizes = np.bincount(labels, weights=owned[core])
+    tree = deg == 0
+    tree_top = int(owned.max(where=tree, initial=0))
+    top = max(int(sizes.max(initial=0)), tree_top)
+    # mark the core vertices or the root of every largest component
+    mark = np.zeros(G.n, dtype=bool)
+    mark[core[sizes[labels] == top]] = True
+    roots = np.flatnonzero(tree & (owned == top)) if tree_top == top else []
+    mark[roots] = True
+    if np.count_nonzero(sizes == top) + len(roots) > 1:
+        # the least vertex of a largest component names the winner
+        rep = forest[np.argmax(mark[forest])]
+        mark[:] = False
+        if deg[rep]:
+            mark[core[labels == labels[np.argmax(core == rep)]]] = True
+        else:
+            mark[rep] = True
+    return np.flatnonzero(mark[forest])
+
+
+def giant_component(G: Graph) -> InducedSubgraph:
+    """Largest connected component; ties broken by smallest contained label."""
+    return induced_subgraph(G, giant_vertices(G))
 
 
 # Most path prefixes enumerate_cycles expands at once.  This bounds one

@@ -116,6 +116,48 @@ def nx_density_bound(G: Graph) -> int:
     return total
 
 
+def kernel_walk(G: Graph):
+    """(vertices, tails, heads, inner vertex lists, rings) of G's kernel, in
+    kernel's order, by walking networkx's 2-core one vertex at a time.
+
+    A chain is walked from each dart v -> w leaving a kernel vertex, and of
+    its two orientations the one whose first dart comes first in CSR order
+    (by tail, then head) is kept; so chains are listed by that dart.  A
+    ring is walked from its least vertex towards the smaller neighbour, and
+    rings are listed by their least vertex."""
+    import networkx as nx
+
+    H = nx.Graph(G.edge_list())
+    H.add_nodes_from(range(G.n))
+    nbrs = {v: sorted(w) for v, w in nx.k_core(H, 2).adjacency()}
+    vertices = sorted(v for v in nbrs if len(nbrs[v]) >= 3)
+    index = {v: i for i, v in enumerate(vertices)}
+    walked = set(vertices)
+    tails, heads, inners = [], [], []
+    for v in vertices:
+        for w in nbrs[v]:
+            walk = [v, w]
+            while len(nbrs[walk[-1]]) == 2:
+                a, b = nbrs[walk[-1]]
+                walk.append(b if a == walk[-2] else a)
+            if (v, w) < (walk[-1], walk[-2]):
+                tails.append(index[v])
+                heads.append(index[walk[-1]])
+                inners.append(walk[1:-1])
+                walked.update(walk)
+    rings = []
+    for v in sorted(set(nbrs) - walked):
+        if v in walked:
+            continue
+        ring = [v, nbrs[v][0]]
+        while ring[-1] != v:
+            a, b = nbrs[ring[-1]]
+            ring.append(b if a == ring[-2] else a)
+        walked.update(ring)
+        rings.append(tuple(ring[:-1]))
+    return vertices, tails, heads, inners, rings
+
+
 def dfs_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:
     """Every simple cycle of length <= max_length, in enumerate_cycles's
     canonical form and order, by a depth-first walk of every simple path of

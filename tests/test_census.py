@@ -189,21 +189,14 @@ def test_supercritical_report_in_window() -> None:
             assert all_cores.graph.component_count > 1
 
 
-def test_supercritical_report_labels_only_the_core(monkeypatch) -> None:
-    # the giant comes from the 2-core peel; scipy labels G's 2-core alone,
-    # and the giant's core is counted, not built and labelled again
+def test_supercritical_report_labels_no_graph(monkeypatch) -> None:
+    # the giant comes from the 2-core peel and the kernel the cycle search
+    # builds anyway; no graph, G or a core, is labelled by components
     labelled = []
-    components = Graph._components
-
-    def recording(self):
-        labelled.append(self)
-        return components(self)
-
-    monkeypatch.setattr(Graph, "_components", recording)
+    monkeypatch.setattr(Graph, "_components", lambda self: labelled.append(self))
     for seed in (17, 23):
         supercritical_report(3000, 500, seed=seed)
-        assert labelled == [two_core(gnm(3000, 2000, seed=seed)).graph]
-        labelled.clear()
+    assert labelled == []
 
 
 def test_supercritical_report_warns_outside_window() -> None:

@@ -310,7 +310,9 @@ def test_a_long_planar_block_settles_in_linear_time() -> None:
     for n in (2000, 4000):
         cycle = cycle_graph(n)
         best = float("inf")
-        for _ in range(3):
+        # best of 7: on a shared host a best of 3 read ratios of 1.0 to 2.8
+        # for the same linear work
+        for _ in range(7):
             start = time.perf_counter()
             result = exact_genus(cycle)
             best = min(best, time.perf_counter() - start)

@@ -33,7 +33,7 @@ from genuslab.acceptance import named_fixtures
 from genuslab.census import classify_cycle_neighborhood
 from genuslab.fragile import PieceDecomposition, build_quotient
 from genuslab.graphs import INDEX_ENTRIES, _core_degrees, _distinct, _index_dtype, _peel
-from brute_force import brute_cycles, dfs_cycles, same_csr
+from brute_force import brute_cycles, dfs_cycles, kernel_walk, same_csr
 from showcases import census_showcase
 
 
@@ -301,6 +301,50 @@ def test_peel_forest_and_giant_match_networkx() -> None:
         _check_peel_against_networkx(g, name)
 
 
+def _union(pieces, seed: int) -> Graph:
+    """Disjoint union of (vertex count, edges) pieces, vertices shuffled."""
+    n, edges = 0, []
+    for k, piece in pieces:
+        edges += [(n + u, n + v) for u, v in piece]
+        n += k
+    return _relabel(n, edges, seed)
+
+
+def test_giant_vertices_match_networkx_on_unions() -> None:
+    # the 2-core is labelled from the kernel: kernel vertices joined by
+    # chains, chain vertices, rings; every piece kind wins, and ties fall
+    # to whichever piece the shuffle gives the least vertex
+    rng = np.random.default_rng(157)
+
+    def ring(k):
+        return k, [(i, (i + 1) % k) for i in range(k)]
+
+    def tree(k):
+        return k, [(int(rng.integers(i)), i) for i in range(1, k)]
+
+    def theta(k):  # a ring with a chord: two kernel vertices, three chains
+        return k, ring(k)[1] + [(0, k // 2)]
+
+    def lollipop(k):  # a ring with a pendant path
+        return k, ring(k - k // 2)[1] + [(i - 1, i) for i in range(k - k // 2, k)]
+
+    def cores(k):  # a sparse draw: several core components, trees, rings
+        return k, gnm(k, k + int(rng.integers(k // 4 + 1)), seed=int(rng.integers(2**32))).edge_list()
+
+    shapes = {
+        "several core components": lambda: [cores(40), cores(25), tree(int(rng.integers(1, 30)))],
+        "ring-only cores": lambda: [ring(int(rng.integers(3, 20))) for _ in range(4)] + [tree(10)],
+        "a tree wins": lambda: [tree(int(rng.integers(30, 60))), theta(12), ring(9), cores(20)],
+        "ties": lambda: [shape(12) for shape in (ring, tree, theta, lollipop, ring, theta)],
+        "empty core": lambda: [tree(int(rng.integers(1, 15))) for _ in range(5)],
+    }
+    for name, pieces in shapes.items():
+        for seed in range(40):
+            _check_peel_against_networkx(_union(pieces(), seed), (name, seed))
+    # a kernel of large diameter with shuffled labels
+    _check_peel_against_networkx(_relabel(600, grid_graph(3, 200).edge_list(), seed=1), "long grid")
+
+
 def test_induced_subgraph_relabels() -> None:
     g = Graph(6, [(0, 2), (2, 4), (4, 0), (1, 3), (4, 5)])
     sub = induced_subgraph(g, [0, 2, 4])
@@ -558,6 +602,49 @@ def test_kernel_partitions_the_core() -> None:
         for ring in k.rings:
             assert all(deg[v] == 2 for v in ring)
             assert ring[0] == min(ring) and ring[1] < ring[-1]
+
+
+def test_kernel_matches_a_chain_walk() -> None:
+    # pointer jumping stops after the first round that ends no chain dart,
+    # while ring darts step on; graphs with rings and without, and chains
+    # of every length near a power of two, must give what walking each
+    # chain to its end gives
+    cases = dict(_kernel_fixtures())
+    cases["rings"] = _rings(3, 4, 7, 8, 2000, seed=7)
+    cases["theta of every length"] = _theta(*range(34), seed=9)
+    cases["theta near powers of two"] = _theta(0, 1, 2, 3, 4, 7, 8, 9, 255, 256, 257, seed=10)
+    cases["long theta"] = _theta(1, 2000, 4, seed=8)
+    for seed in range(60):
+        n = 20 + 11 * seed
+        cases[("gnm", n)] = gnm(n, n * (4 + seed % 8) // 8, seed=(151, seed))
+    with_rings = set()
+    for name, g in cases.items():
+        k = kernel(g)
+        vertices, tails, heads, inners, rings = kernel_walk(g)
+        assert k.vertices.tolist() == vertices, name
+        assert (k.tail.tolist(), k.head.tolist()) == (tails, heads), name
+        assert [k.inner[a:b].tolist() for a, b in zip(k.offsets[:-1], k.offsets[1:])] == inners, name
+        assert list(k.rings) == rings, name
+        with_rings.add(bool(rings) and bool(tails))
+    assert with_rings == {True, False}
+
+
+def test_kernel_is_built_once_and_read_only() -> None:
+    cases = {**_kernel_fixtures(), "gnm": gnm(300, 330, seed=(151, 1)), "empty": Graph(0)}
+    for name, g in cases.items():
+        h = Graph(g.n, g.edge_array)
+        if h.n:
+            giant_vertices(h)  # builds the kernel the cycle search reads
+        k = kernel(h)
+        enumerate_cycles(h, 6)
+        assert kernel(h) is k, name
+        fresh = kernel(Graph(g.n, g.edge_array))
+        for field in ("vertices", "tail", "head", "offsets", "inner"):
+            a, b = getattr(k, field), getattr(fresh, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, field)
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert k.rings == fresh.rings and isinstance(k.rings, tuple), name
 
 
 def test_cycles_of_a_graph_are_the_cycles_of_its_core() -> None:

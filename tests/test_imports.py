@@ -39,16 +39,48 @@ print(json.dumps({
 """
 
 
-def test_exact_pipeline_loads_no_scipy_submodule() -> None:
+# The supercritical trial labels the 2-core from its kernel, so it too
+# leaves scipy's graph, special-function and linear-algebra modules unloaded.
+_SUPERCRITICAL = """
+import contextlib, io, json, sys
+from genuslab import cli
+from genuslab.census import supercritical_report
+
+report = supercritical_report(3000, 500, seed=17)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(["census", "supercritical", "--n", "3000", "--s", "500", "--trials", "2", "--seed", "3"])
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.sparse", "scipy.special", "scipy.linalg")))
+print(json.dumps({
+    "rc": rc,
+    "giant": report.giant_vertices,
+    "rows": [row["giant_vertices"] for row in json.loads(out.getvalue())["rows"]],
+    "loaded": loaded,
+}))
+"""
+
+
+def _fresh_run(program: str) -> dict:
     src = str(Path(genuslab.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", _PROGRAM], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    doc = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_exact_pipeline_loads_no_scipy_submodule() -> None:
+    doc = _fresh_run(_PROGRAM)
     assert doc["loaded"] == []
     assert (doc["rc"], doc["petersen"], doc["k5"]) == (0, 1, 1)
     assert doc["component_count"] == 3
     assert doc["two_core"] == [0, 1, 2]
     assert doc["cycle_count_limit"] == genuslab.cycle_count_limit(1.0)
+
+
+def test_supercritical_trial_loads_no_scipy_submodule() -> None:
+    doc = _fresh_run(_SUPERCRITICAL)
+    assert doc["loaded"] == []
+    assert doc["rc"] == 0
+    assert doc["giant"] > 0 and len(doc["rows"]) == 2 and min(doc["rows"]) > 0
 
 
 def _bench_spans():
