@@ -110,8 +110,7 @@ def trace_faces(graph: Graph, rotation: Rotation) -> FaceTrace:
                 order = rotation[b]
                 dart = (b, order[(position[b][a] + 1) % len(order)])
             faces.append(walk)
-    # the block walk counts components without importing scipy
-    kappa = _biconnected_edge_blocks(graph)[1]
+    kappa = graph.component_count
     face_count = len(faces) - (kappa - 1)
     twice_genus = graph.m - graph.n - face_count + kappa + 1
     if twice_genus < 0 or twice_genus % 2:

@@ -12,10 +12,12 @@ The pieces and cores depend only on the base graph, l and Delta, so
 fragile_experiment computes them once per (l, Delta) and caches them on the
 base Graph; the trials of a run that share a base graph decompose it once
 and then only draw pairs, contract them and bound the quotient.  Both
-steps of the construction run here: select_cores finds every core with one
-graphs.bfs_tree search from a hub vertex joined to each piece, and
-build_quotient maps the drawn pairs through the decomposition's core-owner
-array (PieceDecomposition.owner) with one gather and one sorted dedupe.
+steps of the construction run here: select_cores keeps each piece of the
+least size as its own core and finds the others with one first-in
+first-out search (graphs._fifo_search, the loop behind bfs_tree) from
+their first vertices over the base graph's own CSR, and build_quotient
+maps the drawn pairs through the decomposition's core-owner array
+(PieceDecomposition.owner) with one gather and one sorted dedupe.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .graphs import (
     _decode_pairs,
     _distinct,
     _encode_pairs,
+    _fifo_search,
     bfs_tree,
 )
 from .random_models import uniform_pairs
@@ -215,31 +218,32 @@ def select_cores(H: Graph, d: PieceDecomposition) -> PieceDecomposition:
 
     The core is the first s vertices of a breadth-first traversal of the
     piece from its first vertex, which is the same as repeatedly pruning a
-    leaf of the piece's spanning tree until s vertices remain.  All pieces
-    are searched at once, by bfs_tree from a hub: a new vertex n joined to
-    each piece's first vertex, in a graph that keeps only the edges of H
-    whose two ends share a piece label.  The pieces are not joined to each
-    other, so the vertices of one piece appear in that search in the order
-    of the piece's own breadth-first traversal.  Vertices outside every
-    piece share the label -1; no start is among them, so nothing reaches
-    them.
+    leaf of the piece's spanning tree until s vertices remain, so a piece
+    of s vertices is its own core.  The larger pieces are searched at
+    once, by one _fifo_search (the loop behind bfs_tree) queued with their
+    first vertices, ascending, over H's own CSR without the darts whose two
+    ends carry different piece labels; no Graph is built.  The pieces are
+    not joined to each other, so the vertices of one piece appear in that
+    search in the order of the piece's own breadth-first traversal.
+    Vertices outside every piece share the label -1; no start is among
+    them, so nothing reaches them.
     """
-    t = len(d.pieces)
+    t, s = len(d.pieces), d.s
+    sizes = np.array([len(piece) for piece in d.pieces], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(d.pieces), dtype=np.int64)
     label = np.full(H.n, -1, dtype=np.int32)
-    label[np.fromiter(chain.from_iterable(d.pieces), dtype=np.int64)] = np.repeat(
-        np.arange(t), [len(piece) for piece in d.pieces]
-    )
-    e = H.edge_array
-    starts = np.sort(np.array([piece[0] for piece in d.pieces], dtype=np.int64))
-    # n is the largest label, so the hub rows sort last in colex order
-    hub = np.column_stack([starts, np.full(t, H.n, dtype=np.int64)])
-    inside = label[e[:, 0]] == label[e[:, 1]]
-    order = bfs_tree(Graph._from_canonical(H.n + 1, np.concatenate([e[inside], hub])), H.n)[0][1:]
+    label[flat] = np.repeat(np.arange(t), sizes)
+    ptr = H._indptr
+    inside = np.repeat(label, np.diff(ptr)) == label[H._indices]
+    kept = np.zeros(inside.size + 1, dtype=ptr.dtype)
+    np.cumsum(inside, out=kept[1:])
+    starts = sorted(piece[0] for piece in d.pieces if len(piece) > s)
+    order = _fifo_search(kept[ptr], H._indices[inside], starts)[0]
     # rank of each reached vertex within its piece, in search order
     by_piece = order[np.argsort(label[order], kind="stable")]
     counts = np.bincount(label[by_piece], minlength=t)
     rank = np.arange(len(by_piece)) - np.repeat(np.cumsum(counts) - counts, counts)
-    core = np.sort(by_piece[rank < d.s])
+    core = np.sort(np.concatenate([by_piece[rank < s], flat[np.repeat(sizes == s, sizes)]]))
     cores = _groups(core, label[core], t)
     return PieceDecomposition(l=d.l, Delta=d.Delta, pieces=d.pieces, cores=cores)
 

@@ -9,24 +9,25 @@ structural operations stay cheap at n around 10^6.  Graph(n, edges)
 validates and sorts its input; code that holds canonical edges already
 builds through Graph._from_canonical.
 
-Only component labels (Graph._components, behind component_count and
-component_labels) and breadth-first search (bfs_tree) run in scipy,
-through the adapter _csr_matrix; each imports scipy.sparse when first
-called.  Everything else here runs on numpy alone: the 2-core, the
-kernel, cycle enumeration, and giant_vertices (behind giant_component),
-which labels only the 2-core's components, from the kernel, and sizes
-each component by the vertices the 2-core peel's forest maps to it.
-induced_subgraph and kernel relabel dart heads by a gather from one
-n-long map in the CSR index dtype.  kernel pairs each core dart with its
-reverse by inverting one argsort, finds its chains by pointer jumping
-over the core darts, stopping after the first round that ends no chain
-dart, and walks only rings vertex by vertex; enumerate_cycles grows
-path prefixes over the kernel as arrays, in batches of at most
-EXPAND_SLICE, and builds vertex tuples only for the cycles it finds.  Its
-roots run in blocks, each with a direct index of at most INDEX_ENTRIES
-entries over the sorted kernel darts: a prefix starts at the first dart
-of its end past its root, and the darts that close a step are read by
-two gathers, with no search.
+Everything here runs on numpy alone, with no scipy.  One labeller,
+_component_roots, hooks and pointer-jumps over a shrinking edge list; it
+labels components (Graph._components, behind component_count and
+component_labels) and, over the chain ends of the kernel, the 2-core's
+components for giant_vertices (behind giant_component), which sizes each
+component by the vertices the 2-core peel's forest maps to it.
+Breadth-first search (bfs_tree) is one Python first-in first-out loop,
+_fifo_search, over a CSR read through memoryviews; fragile.select_cores
+runs the same loop.  induced_subgraph and kernel relabel dart heads by a
+gather from one n-long map in the CSR index dtype.  kernel pairs each
+core dart with its reverse by inverting one argsort, finds its chains by
+pointer jumping over the core darts, stopping after the first round that
+ends no chain dart, and walks only rings vertex by vertex;
+enumerate_cycles grows path prefixes over the kernel as arrays, in
+batches of at most EXPAND_SLICE, and builds vertex tuples only for the
+cycles it finds.  Its roots run in blocks, each with a direct index of at
+most INDEX_ENTRIES entries over the sorted kernel darts: a prefix starts
+at the first dart of its end past its root, and the darts that close a
+step are read by two gathers, with no search.
 
 A Graph caches its component labels, the read-only result of its 2-core
 peel (_peel: the core degrees behind two_core and kernel, the forest, and
@@ -85,15 +86,6 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr
 
 
-def _csr_matrix(G: Graph):
-    """scipy view of G's CSR adjacency, every dart of weight 1.0; float64
-    is the weight type scipy's graph routines work in, so they make no
-    copy of the weights."""
-    from scipy.sparse import csr_matrix
-
-    return csr_matrix((np.ones(len(G._indices)), G._indices, G._indptr), shape=(G.n, G.n))
-
-
 def _encode_pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Colex code hi*(hi-1)/2 + lo of the pairs lo < hi; sorting the codes
     sorts the pairs by (hi, lo)."""
@@ -117,8 +109,8 @@ def _decode_pairs(codes: np.ndarray) -> np.ndarray:
 
 def _index_dtype(n: int, darts: int) -> type:
     """Index type of a CSR with n vertices and the given number of darts:
-    int32, the type scipy's graph routines take without a copy, while n and
-    darts fit in it, and int64 beyond."""
+    int32 while n and darts fit in it, which halves the CSR's memory, and
+    int64 beyond."""
     return np.int32 if max(n, darts) <= np.iinfo(np.int32).max else np.int64
 
 
@@ -231,14 +223,14 @@ class Graph:
         return i < len(row) and row[i] == v
 
     def _components(self) -> tuple[int, np.ndarray]:
+        """(count, labels), cached: the components are numbered 0, 1, ...
+        by their least vertex, as a search started at each unlabelled
+        vertex in turn numbers them."""
         if self._labels is None:
-            if self._n == 0:
-                self._ncomp, self._labels = 0, np.zeros(0, dtype=np.int64)
-            else:
-                from scipy.sparse.csgraph import connected_components
-
-                ncomp, labels = connected_components(_csr_matrix(self), directed=False)
-                self._ncomp, self._labels = int(ncomp), labels
+            root = _component_roots(self._n, self._edges[:, 0], self._edges[:, 1])
+            first = root == np.arange(self._n)
+            number = np.cumsum(first, dtype=root.dtype) - 1
+            self._ncomp, self._labels = int(np.count_nonzero(first)), number[root]
         return self._ncomp, self._labels
 
     @property
@@ -261,21 +253,71 @@ class Graph:
         return hash((self._n, self._edges.tobytes()))
 
 
+def _component_roots(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component, in the graph on 0..n-1
+    whose edges, loops and repeats allowed, are the pairs (tails[i],
+    heads[i]); of the CSR index dtype for n vertices.
+
+    Hooking and pointer jumping (Shiloach and Vishkin, "An O(log n)
+    parallel connectivity algorithm", J. Algorithms 1982) in whole-array
+    rounds over a shrinking edge list.  Each round moves every edge to the
+    roots of its ends and drops the edges whose ends share a root; every
+    root then hooks to the least root it shares an edge with, if that is
+    below its own (one np.minimum.at), and the labels pointer-jump until
+    each points at a root.  A root hooks only to a smaller root, so the
+    least vertex of a component is never hooked and ends as its root.
+    """
+    label = np.arange(n, dtype=_index_dtype(n, 0))
+    while True:
+        tails, heads = label[tails], label[heads]
+        apart = tails != heads
+        tails, heads = tails[apart], heads[apart]
+        if not tails.size:
+            return label
+        np.minimum.at(label, np.maximum(tails, heads), np.minimum(tails, heads))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
 def bfs_tree(G: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first search from root: (order, parent).
 
     order lists the vertices reached, in first-in first-out order with each
     vertex's neighbours taken ascending.  parent[v] is the vertex that first
-    reached v, or -1 for the root and for every vertex not reached.  The
-    search runs in scipy over G's own CSR, which holds both dart directions.
+    reached v, or -1 for the root and for every vertex not reached.  Both
+    are of the CSR index dtype, and equal scipy.sparse.csgraph's
+    breadth_first_order with its -9999 read as -1.  The search is
+    _fifo_search over G's own CSR.
     """
     if not 0 <= root < G.n:
         raise GraphError("root out of range")
-    from scipy.sparse.csgraph import breadth_first_order
+    return _fifo_search(G._indptr, G._indices, [int(root)])
 
-    order, parent = breadth_first_order(_csr_matrix(G), root)
-    parent[parent < 0] = -1  # scipy marks the root and unreached vertices -9999
-    return order, parent
+
+def _fifo_search(ptr: np.ndarray, indices: np.ndarray, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """First-in first-out search over the CSR (ptr, indices) from the
+    distinct vertices starts, queued in the given order: (order, parent)
+    as in bfs_tree, with parent -1 at every start.
+
+    The search is a Python loop that reads the CSR through memoryviews, so
+    it copies no array into a list and makes Python ints only for the
+    vertices and darts it visits.
+    """
+    parent = np.full(len(ptr) - 1, -1, dtype=indices.dtype)
+    ptr, heads, up = memoryview(ptr), memoryview(indices), memoryview(parent)
+    seen = bytearray(len(parent))
+    order = list(starts)
+    append = order.append
+    for v in order:
+        seen[v] = 1
+    for u in order:  # reads on through the vertices appended below
+        for x in heads[ptr[u]:ptr[u + 1]]:
+            if not seen[x]:
+                seen[x] = 1
+                up[x] = u
+                append(x)
+    return np.array(order, dtype=indices.dtype), parent
 
 
 @dataclass(frozen=True)
@@ -556,39 +598,13 @@ def _core_components(K: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """(core, labels): every vertex of the 2-core whose kernel is K, once,
     and labels equal exactly on the vertices of one core component.
 
-    The kernel vertices joined by chains are labelled in whole-array
-    rounds.  Each vertex finds the least label among its neighbours', by
-    one reduceat over the chain ends grouped by vertex, and takes it if it
-    is below its own; each label then takes the least found by the
-    vertices it labels, by one sort, so whole groups merge in a round and
-    a kernel of large diameter needs no more rounds than a random one.
-    The labels pointer-jump until none moves.  Once a round changes no
-    label, every chain joins two equal labels.  The inner vertices of a
-    chain take the label of its ends, and each ring is one component.
+    The kernel vertices joined by chains are labelled by _component_roots
+    over the chain ends, the labeller behind Graph._components.  The inner
+    vertices of a chain take the label of its ends, and each ring is one
+    component.
     """
     N = K.vertices.size
-    label = np.arange(N)
-    if N:
-        # every kernel vertex ends a chain, so each has a group of darts
-        tails = np.concatenate([K.tail, K.head])
-        order = np.argsort(tails, kind="stable")
-        heads = np.concatenate([K.head, K.tail])[order]
-        starts = np.flatnonzero(np.diff(tails[order], prepend=-1))
-        while True:
-            near = np.minimum.reduceat(label[heads], starts)
-            low = np.minimum(label, near)
-            # every label also takes the least near over the vertices it
-            # labels, by one sort grouping (label, near) keys by label
-            hook = np.sort(label * N + near)
-            first = np.flatnonzero(np.diff(hook // N, prepend=-1))
-            root, near = np.divmod(hook[first], N)
-            low[root] = np.minimum(low[root], near)
-            jumped = low[low]
-            while not np.array_equal(jumped, low):
-                low, jumped = jumped, jumped[jumped]
-            if np.array_equal(low, label):
-                break
-            label = low
+    label = _component_roots(N, K.tail, K.head)
     rings = [len(ring) for ring in K.rings]
     core = np.concatenate([K.vertices, K.inner,
                            np.array([v for ring in K.rings for v in ring], dtype=np.int64)])

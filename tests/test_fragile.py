@@ -29,6 +29,7 @@ from genuslab import (
     uniform_pairs,
 )
 from genuslab import fragile
+from genuslab.cli import _random_tree
 from brute_force import bfs_cores, bfs_pieces, contract_reference, nx_density_bound
 from showcases import amplification_showcase
 
@@ -202,6 +203,22 @@ def test_decomposition_matches_the_per_vertex_reference() -> None:
     h = path_graph(10**5)
     want = bfs_cores(h, bfs_pieces(h, 120, 2))
     assert select_cores(h, decompose_into_pieces(h, 120, 2)) == want
+
+
+def test_decomposition_matches_the_reference_at_trial_sizes() -> None:
+    # fragile_experiment's l = ceil(3 * Delta * n / k) on every base kind
+    n = 40_000
+    bases = {
+        "path": (path_graph(n), 2),
+        "cycle": (cycle_graph(n), 2),
+        "grid": (grid_graph(200, 200), 4),
+        "random tree": (_random_tree(n, 3, trial_rng(11, 0)), 3),
+    }
+    for name, (h, delta) in bases.items():
+        for k in (1000, 5000, 20000):
+            l = -(-3 * delta * h.n // k)
+            want = bfs_cores(h, bfs_pieces(h, l, delta))
+            assert select_cores(h, decompose_into_pieces(h, l, delta)) == want, (name, k)
 
 
 def test_fragile_experiment_report_fields() -> None:

@@ -29,8 +29,9 @@ from genuslab import (
     path_graph,
     two_core,
 )
-from genuslab.acceptance import named_fixtures
+from genuslab.acceptance import KAPPA_LAMBDAS, named_fixtures
 from genuslab.census import classify_cycle_neighborhood
+from genuslab.cli import _random_tree
 from genuslab.fragile import PieceDecomposition, build_quotient
 from genuslab.graphs import INDEX_ENTRIES, _core_degrees, _distinct, _index_dtype, _peel
 from brute_force import brute_cycles, dfs_cycles, kernel_walk, same_csr
@@ -202,6 +203,79 @@ def test_bfs_tree_matches_a_fifo_search_and_networkx() -> None:
             assert set(want_order) == set(nx.bfs_tree(nxg, root).nodes), (g, root)
     with pytest.raises(GraphError):
         bfs_tree(Graph(3), 3)
+
+
+def _scipy_adjacency(g: Graph):
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((np.ones(len(g._indices)), g._indices, g._indptr), shape=(g.n, g.n))
+
+
+def _shuffled(g: Graph, seed: int) -> Graph:
+    """g with its vertices relabelled by a random permutation."""
+    return Graph(g.n, np.random.default_rng(seed).permutation(g.n)[g.edge_array])
+
+
+def _bounded_connected(n: int, top: int, rng) -> Graph:
+    """A random connected graph of maximum degree top: a random tree with
+    every degree capped at top, plus random edges between vertices still
+    below it, with shuffled labels."""
+    tree = _random_tree(n, top, rng)
+    deg = tree.degrees().copy()
+    edges = set(tree.edge_list())
+    for _ in range(n):
+        u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+        if u != v and (u, v) not in edges and deg[u] < top and deg[v] < top:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return _shuffled(Graph(n, sorted(edges)), int(rng.integers(2**32)))
+
+
+def test_bfs_tree_matches_scipy_breadth_first_order() -> None:
+    from scipy.sparse.csgraph import breadth_first_order
+
+    rng = np.random.default_rng(233)
+    cases = {
+        "path": path_graph(10**5),
+        "grid": _shuffled(grid_graph(40, 60), 1),
+        # two components and the isolated vertex 8
+        "disconnected": Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]),
+    }
+    for top in (3, 4):
+        for seed in range(5):
+            cases[("maximum degree", top, seed)] = _bounded_connected(400, top, rng)
+    for name, g in cases.items():
+        adj = _scipy_adjacency(g)
+        for root in sorted({0, 5, g.n // 2, g.n - 1}):
+            order, parent = bfs_tree(g, root)
+            want_order, want_parent = breadth_first_order(adj, root)
+            want_parent[want_parent < 0] = -1  # scipy marks no parent -9999
+            assert np.array_equal(order, want_order), (name, root)
+            assert np.array_equal(parent, want_parent), (name, root)
+
+
+def test_component_labels_match_scipy() -> None:
+    import networkx as nx
+    from scipy.sparse.csgraph import connected_components
+
+    cases = {("atlas", i): Graph(a.number_of_nodes(), list(a.edges()))
+             for i, a in enumerate(nx.graph_atlas_g()) if a.number_of_nodes()}
+    cases["edgeless"] = Graph(7)
+    cases["isolated vertices"] = Graph(9, [(1, 4), (4, 6), (6, 1), (2, 8)])
+    # the centre, the largest label, hooks to the least leaf
+    cases["star, largest centre"] = Graph(50, [(v, 49) for v in range(49)])
+    cases["shuffled path"] = _shuffled(path_graph(10**5), 3)
+    cases["shuffled grid"] = _shuffled(grid_graph(316, 316), 4)
+    for i, lam in enumerate(KAPPA_LAMBDAS):
+        for seed in range(3):
+            cases[("gnm", lam, seed)] = gnm(5000, int(lam * 5000), seed=(239, i, seed))
+    for name, g in cases.items():
+        ncomp, labels = connected_components(_scipy_adjacency(g), directed=False)
+        assert g.component_count == ncomp, name
+        assert np.array_equal(g.component_labels(), labels), name
+    g = Graph(0)
+    assert (g.component_count, g.component_labels().size) == (0, 0)
 
 
 def test_giant_component_examples() -> None:

@@ -60,6 +60,43 @@ print(json.dumps({
 """
 
 
+# Components are labelled and bases searched on numpy and Python alone, so
+# fragile_experiment, genuslab fragile and genuslab genus bounds leave
+# those scipy modules unloaded too.  mc kappa loads no scipy.sparse, though
+# its prediction loads scipy.special above c = 1.
+_FRAGILE = """
+import contextlib, io, json, os, sys, tempfile
+from genuslab import cli, fragile_experiment, format_edge_list, gnm, path_graph
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(argv)
+    return rc, json.loads(out.getvalue())["rows"]
+
+def scipy_loaded(prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+report = fragile_experiment(path_graph(20000), 2, 1000, seed=5)
+rc_fragile, fragile_rows = run(["fragile", "--base", "grid", "--n", "2500", "--delta", "4",
+                                "--k", "200", "--trials", "2", "--seed", "3"])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "g.edgelist")
+    with open(path, "w") as fh:
+        fh.write(format_edge_list(gnm(300, 600, seed=7)))
+    rc_bounds, bounds_rows = run(["genus", "bounds", "--input", path])
+loaded = scipy_loaded(("scipy.sparse", "scipy.special", "scipy.linalg"))
+rc_kappa, kappa_rows = run(["mc", "kappa", "--n", "2000", "--trials", "1", "--seed", "1"])
+print(json.dumps({
+    "rc": [rc_fragile, rc_bounds, rc_kappa],
+    "t": [report.t] + [row["t"] for row in fragile_rows],
+    "bounds": bounds_rows[0]["bounds"],
+    "kappa": [row["kappa"] for row in kappa_rows],
+    "loaded": loaded,
+    "loaded_by_kappa": scipy_loaded("scipy.sparse"),
+}))
+"""
+
+
 def _fresh_run(program: str) -> dict:
     src = str(Path(genuslab.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
@@ -81,6 +118,16 @@ def test_supercritical_trial_loads_no_scipy_submodule() -> None:
     assert doc["loaded"] == []
     assert doc["rc"] == 0
     assert doc["giant"] > 0 and len(doc["rows"]) == 2 and min(doc["rows"]) > 0
+
+
+def test_fragile_trial_and_kappa_load_no_scipy_submodule() -> None:
+    doc = _fresh_run(_FRAGILE)
+    assert doc["loaded"] == []
+    assert doc["loaded_by_kappa"] == []
+    assert doc["rc"] == [0, 0, 0]
+    assert min(doc["t"]) > 0 and len(doc["t"]) == 3
+    assert 0 <= doc["bounds"]["lower"] <= doc["bounds"]["upper"]
+    assert len(doc["kappa"]) == 4 and min(doc["kappa"]) > 0
 
 
 def _bench_spans():
