@@ -39,7 +39,6 @@ from .embeddings import (
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
     genus_upper_bound,
-    perturbation_upper_bound,
     trace_faces,
     validate_rotation,
 )

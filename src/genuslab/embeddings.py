@@ -151,9 +151,10 @@ def genus_lower_bound_short_cycles(graph: Graph, max_cycle_length: int = 4) -> i
         F = (2 m + (ell - 2) * 2 C) / (ell + 1).
 
     The bound is rigorous for graphs with minimum degree 2 and is reported
-    unchanged for general graphs: pruning degree-1 vertices changes neither
-    m - n + kappa nor the cycle census, so the value agrees with the bound on
-    the 2-core whenever the graph has a cycle, and acyclic graphs return 0.
+    unchanged for general graphs.  Pruning a degree-1 vertex changes
+    neither m - n + kappa nor the cycle census nor the genus, but m enters
+    F, so the value on a graph is at most the bound on its 2-core: pendant
+    trees only weaken it, and acyclic graphs return 0.
     Raises CycleBudgetError past CYCLE_CAP cycles, unless the bound is 0
     without any short cycle, in which case no census runs.
     """
@@ -221,31 +222,17 @@ def genus_lower_bound_density(graph: Graph) -> int:
     return int(_euler_lower(sizes, edge_counts, 1, 2).sum())
 
 
-def perturbation_upper_bound(base_genus: int, k: int) -> int:
-    """Genus after adding k edges is at most the base genus plus k: each new
-    edge can be routed through a fresh handle."""
-    if base_genus < 0 or k < 0:
-        raise ValueError("base genus and edge count must be nonnegative")
-    return base_genus + k
-
-
-def _biconnected_edge_blocks(graph: Graph) -> tuple[list[list[tuple[int, int]]], int]:
-    """Partition the edges into biconnected blocks (bridges are singletons);
-    also returns the number of components, one per vertex that starts a
-    search, isolated vertices included."""
+def _biconnected_edge_blocks(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Partition the edges into biconnected blocks (bridges are singletons)."""
     n = graph.n
     adj = graph.adjacency_lists()
     disc = [-1] * n
     low = [0] * n
     timer = 0
-    kappa = 0
     blocks: list[list[tuple[int, int]]] = []
     edge_stack: list[tuple[int, int]] = []
     for s in range(n):
-        if disc[s] != -1:
-            continue
-        kappa += 1
-        if not adj[s]:
+        if disc[s] != -1 or not adj[s]:
             continue
         disc[s] = low[s] = timer
         timer += 1
@@ -281,7 +268,7 @@ def _biconnected_edge_blocks(graph: Graph) -> tuple[list[list[tuple[int, int]]],
                         if e == (u, v):
                             break
                     blocks.append(block)
-    return blocks, kappa
+    return blocks
 
 
 def _girth_upper(adj: list[list[int]], stop: int = 0) -> int:
@@ -341,8 +328,7 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     searchable = []
     # per settled block: (vertices, dart heads, rotation of darts)
     settled = []
-    blocks, kappa = _biconnected_edge_blocks(graph)
-    for block in blocks:
+    for block in _biconnected_edge_blocks(graph):
         if len(block) == 1:
             u, v = block[0]
             arcs[u].append((v,))
@@ -397,5 +383,5 @@ def exact_genus(graph: Graph, node_budget: int = 50_000_000) -> GenusResult:
     }
     if graph.n == 0:
         return GenusResult(0, 0, rotation, total_nodes)
-    face_count = graph.m - graph.n + kappa + 1 - 2 * total_genus
+    face_count = graph.m - graph.n + graph.component_count + 1 - 2 * total_genus
     return GenusResult(total_genus, face_count, rotation, total_nodes)

@@ -32,7 +32,6 @@ from .embeddings import (
     genus_lower_bound_density,
     genus_lower_bound_short_cycles,
     genus_upper_bound,
-    perturbation_upper_bound,
 )
 from .graphs import (
     Graph,
@@ -330,7 +329,7 @@ def fragile_experiment(
         raise ValueError("k must be at least 1")
     n = H.n
     l = -(-3 * Delta * n // k)
-    upper = perturbation_upper_bound(genus_upper_bound(H), k)
+    upper = genus_upper_bound(H) + k
     added = uniform_pairs(n, k, seed)
     if k >= 6 * n:
         return FragileReport(

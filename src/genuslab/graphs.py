@@ -12,22 +12,24 @@ builds through Graph._from_canonical.
 Everything here runs on numpy alone, with no scipy.  One labeller,
 _component_roots, hooks and pointer-jumps over a shrinking edge list; it
 labels components (Graph._components, behind component_count and
-component_labels) and, over the chain ends of the kernel, the 2-core's
-components for giant_vertices (behind giant_component), which sizes each
-component by the vertices the 2-core peel's forest maps to it.
+component_labels), the runs of core-degree-2 vertices in which kernel
+finds the bare cycles, and, over the chain ends of the kernel, the
+2-core's components for giant_vertices (behind giant_component), which
+sizes each component by the vertices the 2-core peel's forest maps to it.
 Breadth-first search (bfs_tree) is one Python first-in first-out loop,
 _fifo_search, over a CSR read through memoryviews; fragile.select_cores
 runs the same loop.  induced_subgraph and kernel relabel dart heads by a
 gather from one n-long map in the CSR index dtype.  kernel pairs each
-core dart with its reverse by inverting one argsort, finds its chains by
-pointer jumping over the core darts, stopping after the first round that
-ends no chain dart, and walks only rings vertex by vertex;
-enumerate_cycles grows path prefixes over the kernel as arrays, in
-batches of at most EXPAND_SLICE, and builds vertex tuples only for the
-cycles it finds.  Its roots run in blocks, each with a direct index of at
-most INDEX_ENTRIES entries over the sorted kernel darts: a prefix starts
-at the first dart of its end past its root, and the darts that close a
-step are read by two gathers, with no search.
+core dart with its reverse by inverting one argsort, takes the least
+vertex of each bare cycle as a kernel vertex, so that every core edge lies
+on a chain, and finds the chains by pointer jumping over the core darts
+until every dart reaches a kernel vertex; enumerate_cycles grows path
+prefixes over the kernel as arrays, in batches of at most EXPAND_SLICE,
+and builds vertex tuples only for the cycles it finds.  Its roots run in
+blocks, each with a direct index of at most INDEX_ENTRIES entries over
+the sorted kernel darts: a prefix starts at the first dart of its end
+past its root, and the darts that close a step are read by two gathers,
+with no search.
 
 A Graph caches its component labels, the read-only result of its 2-core
 peel (_peel: the core degrees behind two_core and kernel, the forest, and
@@ -486,14 +488,15 @@ class Kernel:
     """The 2-core of a graph with its degree-2 chains suppressed.
 
     vertices holds, ascending, the labels of the core vertices of core
-    degree at least 3.  The chains are the edges of the kernel multigraph,
-    loops and parallel chains included, one array entry each: chain i runs
-    from vertices[tail[i]] to vertices[head[i]] (the same vertex for a
-    loop) through the inner vertices inner[offsets[i]:offsets[i + 1]],
-    labels of the graph listed from tail to head.  rings are the core
-    components with no kernel vertex, which are bare cycles, each listed
+    degree at least 3 and the least vertex of each core component that is
+    a bare cycle; so the kernel has one vertex for each bare cycle.  The
+    chains are the edges of the kernel multigraph, loops and parallel
+    chains included, one array entry each: chain i runs from
+    vertices[tail[i]] to vertices[head[i]] (the same vertex for a loop)
+    through the inner vertices inner[offsets[i]:offsets[i + 1]], labels of
+    the graph listed from tail to head.  A bare cycle is one loop, listed
     from its least vertex towards the smaller of that vertex's neighbours.
-    Every core edge lies on exactly one chain or ring.
+    Every core edge lies on exactly one chain.
     """
 
     vertices: np.ndarray
@@ -501,7 +504,6 @@ class Kernel:
     head: np.ndarray
     offsets: np.ndarray
     inner: np.ndarray
-    rings: tuple[tuple[int, ...], ...]
 
     @property
     def length(self) -> np.ndarray:
@@ -516,15 +518,17 @@ def kernel(G: Graph) -> Kernel:
     The core darts are numbered in CSR order, their heads relabeled to core
     indices by one gather from an n-long map, and each is paired with its
     reverse by inverting the argsort of the (head, tail) keys; the work is
-    O(n) plus a sort of the core darts.  A dart into a vertex of core
-    degree 2 steps to that vertex's other dart, and pointer jumping follows
-    the steps to give every dart the last dart of its chain and the number
-    of darts after it, stopping after the first round that ends no chain
-    dart.  A chain starts at each dart leaving a kernel vertex;
+    O(n) plus a sort of the core darts.  The kernel vertices are the core
+    vertices of core degree at least 3 and the least vertex of each bare
+    cycle: _component_roots over the edges between vertices of core degree
+    2 labels each run of them by its least vertex, and a run that no dart
+    joins to a vertex of core degree at least 3 is a bare cycle.  A dart
+    into any other vertex steps to that vertex's other dart, and pointer
+    jumping follows the steps to give every dart the last dart of its chain
+    and the number of darts after it, until every dart's last dart ends at
+    a kernel vertex.  A chain starts at each dart leaving a kernel vertex;
     of its two orientations the one whose first dart comes first is kept,
     so the chains are listed by tail, then by the first vertex after it.
-    The darts whose steps never reach a kernel vertex lie on rings, which
-    are walked one vertex at a time.
     """
     if G._kernel is not None:
         return G._kernel
@@ -544,29 +548,31 @@ def kernel(G: Graph) -> Kernel:
     # order, so inverting that sort pairs each dart with its reverse
     rev = np.empty(head.size, dtype=np.int64)
     rev[np.argsort(head * core.size + tail)] = np.arange(head.size)
-    through = cdeg[head] == 2
+    # each run of core-degree-2 vertices is labelled by its least vertex,
+    # every other vertex by itself; the labels are the kernel vertices,
+    # less the runs a dart leaves for a vertex of core degree 3 or more,
+    # which lie on chains between such vertices
+    two = cdeg == 2
+    on, to = two[tail], two[head]
+    run = on & to & (tail < head)
+    root = _component_roots(core.size, tail[run], head[run])
+    branch = root == np.arange(core.size)
+    branch[root[tail[on & ~to]]] = False
+    through = ~branch[head]
     step = np.where(through, 2 * first[head] + 1 - rev, np.arange(head.size))
-    # round k ends the chain darts 2^(k-1) + 1 to 2^k steps from their
-    # chain's end, and a chain has a dart at every distance up to its
-    # longest; so once a round ends none, only ring darts step on
+    # every bare cycle has a kernel vertex, so every dart's steps reach one
     last, after = step, through.astype(np.int64)
-    left = np.count_nonzero(through)  # darts still stepping
-    while True:
+    while through[last].any():
         after = after + after[last]
         last = last[last]
-        on_ring = through[last]
-        left, before = np.count_nonzero(on_ring), left
-        if left == before:
-            break
-    branch = cdeg >= 3
-    index = np.cumsum(branch) - 1  # kernel index of each branch vertex
+    index = np.cumsum(branch) - 1  # kernel index of each kernel vertex
     start = np.flatnonzero(branch[tail])
     start = start[start < rev[last[start]]]
     end = last[start]
     offsets = np.zeros(start.size + 1, dtype=np.int64)
     np.cumsum(after[start], out=offsets[1:])
     # the inner vertices are the heads of the kept chains' darts before
-    # their last; ring darts and the other orientations find no chain
+    # their last; the other orientations find no chain
     chain = np.full(head.size, -1)
     chain[end] = np.arange(start.size)
     mid = np.flatnonzero(through)
@@ -574,20 +580,7 @@ def kernel(G: Graph) -> Kernel:
     mid, c = mid[c >= 0], c[c >= 0]
     inner = np.empty(offsets[-1], dtype=np.int64)
     inner[offsets[c + 1] - after[mid]] = core[head[mid]]
-    rings = []
-    if on_ring.any():
-        to, steps, firsts = head.tolist(), step.tolist(), first.tolist()
-        walked = set()
-        for v in _distinct(tail[on_ring]).tolist():
-            if v in walked:
-                continue
-            ring, d = [v], firsts[v]
-            while to[d] != v:
-                ring.append(to[d])
-                d = steps[d]
-            walked.update(ring)
-            rings.append(tuple(core[ring].tolist()))
-    K = Kernel(core[branch], index[tail[start]], index[head[end]], offsets, inner, tuple(rings))
+    K = Kernel(core[branch], index[tail[start]], index[head[end]], offsets, inner)
     for a in (K.vertices, K.tail, K.head, K.offsets, K.inner):
         a.setflags(write=False)
     G._kernel = K
@@ -598,18 +591,13 @@ def _core_components(K: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """(core, labels): every vertex of the 2-core whose kernel is K, once,
     and labels equal exactly on the vertices of one core component.
 
-    The kernel vertices joined by chains are labelled by _component_roots
-    over the chain ends, the labeller behind Graph._components.  The inner
-    vertices of a chain take the label of its ends, and each ring is one
-    component.
+    The kernel vertices are labelled by _component_roots over the chain
+    ends, the labeller behind Graph._components, and the inner vertices of
+    a chain take the label of its ends.
     """
-    N = K.vertices.size
-    label = _component_roots(N, K.tail, K.head)
-    rings = [len(ring) for ring in K.rings]
-    core = np.concatenate([K.vertices, K.inner,
-                           np.array([v for ring in K.rings for v in ring], dtype=np.int64)])
-    labels = np.concatenate([label, np.repeat(label[K.tail], np.diff(K.offsets)),
-                             np.repeat(np.arange(N, N + len(rings)), rings)])
+    label = _component_roots(K.vertices.size, K.tail, K.head)
+    core = np.concatenate([K.vertices, K.inner])
+    labels = np.concatenate([label, np.repeat(label[K.tail], np.diff(K.offsets))])
     return core, labels
 
 
@@ -668,8 +656,9 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     and v1 < v_{k-1}; each cycle appears exactly once, and the list is
     sorted.  Raises CycleBudgetError if there are more than cap cycles.
 
-    The search runs on the kernel.  A cycle is a ring, a loop, or a closed
-    path of two or more chains through distinct kernel vertices.  Such a
+    The search runs on the kernel.  A cycle is a loop, a bare cycle
+    included, or a closed path of two or more chains through distinct
+    kernel vertices.  Such a
     path is rooted at its least kernel vertex r and kept in the orientation
     whose first chain id is below its closing chain id.  The roots run in
     consecutive blocks, and the paths from the roots of a block grow
@@ -699,10 +688,9 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     K = kernel(G)
     length = K.length
     loop = K.tail == K.head
-    rings = [ring for ring in K.rings if len(ring) <= max_length]
     loops = np.flatnonzero(loop & (length <= max_length))[:, None]
     found = [(loops, np.ones(loops.shape, dtype=bool))]
-    count = len(rings) + loops.size
+    count = loops.size
     if count > cap:
         raise CycleBudgetError(cap, max_length)
     # search darts: both orientations of each chain short enough to share a
@@ -784,7 +772,7 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
                 stack.append((r[grow], np.column_stack([path[src[grow]], dart[grow]]), t[grow]))
         base = shift + index[row * width + width - 1]
         r0 = r1
-    return sorted(rings + _cycle_tuples(K, found))
+    return sorted(_cycle_tuples(K, found))
 
 
 def _cycle_tuples(K: Kernel, found) -> list[tuple[int, ...]]:

@@ -117,45 +117,38 @@ def nx_density_bound(G: Graph) -> int:
 
 
 def kernel_walk(G: Graph):
-    """(vertices, tails, heads, inner vertex lists, rings) of G's kernel, in
+    """(vertices, tails, heads, inner vertex lists) of G's kernel, in
     kernel's order, by walking networkx's 2-core one vertex at a time.
 
-    A chain is walked from each dart v -> w leaving a kernel vertex, and of
-    its two orientations the one whose first dart comes first in CSR order
-    (by tail, then head) is kept; so chains are listed by that dart.  A
-    ring is walked from its least vertex towards the smaller neighbour, and
-    rings are listed by their least vertex."""
+    The kernel vertices are the core vertices of degree at least 3 and the
+    least vertex of each core component that is a bare cycle.  A chain is
+    walked from each dart v -> w leaving a kernel vertex until it reaches a
+    kernel vertex, and of its two orientations the one whose first dart
+    comes first in CSR order (by tail, then head) is kept; so chains are
+    listed by that dart, and a bare cycle is one loop from its least vertex
+    towards the smaller neighbour."""
     import networkx as nx
 
     H = nx.Graph(G.edge_list())
     H.add_nodes_from(range(G.n))
-    nbrs = {v: sorted(w) for v, w in nx.k_core(H, 2).adjacency()}
-    vertices = sorted(v for v in nbrs if len(nbrs[v]) >= 3)
+    core = nx.k_core(H, 2)
+    nbrs = {v: sorted(w) for v, w in core.adjacency()}
+    vertices = sorted([v for v in nbrs if len(nbrs[v]) >= 3]
+                      + [min(c) for c in nx.connected_components(core)
+                         if all(len(nbrs[v]) == 2 for v in c)])
     index = {v: i for i, v in enumerate(vertices)}
-    walked = set(vertices)
     tails, heads, inners = [], [], []
     for v in vertices:
         for w in nbrs[v]:
             walk = [v, w]
-            while len(nbrs[walk[-1]]) == 2:
+            while walk[-1] not in index:
                 a, b = nbrs[walk[-1]]
                 walk.append(b if a == walk[-2] else a)
             if (v, w) < (walk[-1], walk[-2]):
                 tails.append(index[v])
                 heads.append(index[walk[-1]])
                 inners.append(walk[1:-1])
-                walked.update(walk)
-    rings = []
-    for v in sorted(set(nbrs) - walked):
-        if v in walked:
-            continue
-        ring = [v, nbrs[v][0]]
-        while ring[-1] != v:
-            a, b = nbrs[ring[-1]]
-            ring.append(b if a == ring[-2] else a)
-        walked.update(ring)
-        rings.append(tuple(ring[:-1]))
-    return vertices, tails, heads, inners, rings
+    return vertices, tails, heads, inners
 
 
 def dfs_cycles(G: Graph, max_length: int, cap: int = 10_000_000) -> list[tuple[int, ...]]:

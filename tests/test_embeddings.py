@@ -14,8 +14,8 @@ from genuslab import (
     genus_lower_bound_short_cycles,
     genus_upper_bound,
     path_graph,
-    perturbation_upper_bound,
     trace_faces,
+    two_core,
     validate_rotation,
 )
 from showcases import pendant_square
@@ -90,11 +90,15 @@ def test_density_lower_bound_values() -> None:
     assert genus_lower_bound_density(complete_bipartite_graph(3, 3)) == 0
 
 
-def test_perturbation_upper_bound_adds_one_per_edge() -> None:
-    assert perturbation_upper_bound(0, 5) == 5
-    assert perturbation_upper_bound(3, 2) == 5
-    assert perturbation_upper_bound(4, 0) == 4
-    with pytest.raises(ValueError):
-        perturbation_upper_bound(-1, 2)
-    with pytest.raises(ValueError):
-        perturbation_upper_bound(1, -2)
+def test_pendant_trees_only_weaken_the_lower_bound(corpus6, genus_of) -> None:
+    # pruning a leaf keeps m - n + kappa, the cycle census and the genus but
+    # lowers m, which enters the face bound; so the bound on a graph is at
+    # most the bound on its 2-core, and a pendant tree can hide a handle
+    k6_tail = Graph(8, [*complete_graph(6).edge_list(), (5, 6), (6, 7)])
+    k5_leaf = Graph(6, [*complete_graph(5).edge_list(), (4, 5)])
+    for g in [*corpus6, k6_tail, k5_leaf]:
+        core = two_core(g).graph
+        assert genus_lower_bound(g) <= genus_lower_bound(core) <= genus_of(g)
+    for g in (k6_tail, k5_leaf):
+        assert genus_lower_bound(g) == 0 < genus_lower_bound(two_core(g).graph) == genus_of(g) == 1
+    assert [genus_lower_bound_short_cycles(k6_tail, ell) for ell in (2, 3, 4)] == [0, 0, 0]

@@ -18,12 +18,10 @@ from genuslab import (
     cycle_graph,
     decompose_into_pieces,
     fragile_experiment,
-    genus_upper_bound,
     grid_graph,
     hypercube_graph,
     induced_subgraph,
     path_graph,
-    perturbation_upper_bound,
     select_cores,
     trial_rng,
     uniform_pairs,
@@ -228,7 +226,6 @@ def test_fragile_experiment_report_fields() -> None:
     assert rep.k == 100
     assert rep.Delta == 2
     assert rep.l == 30  # ceil(3 * Delta * n / k)
-    assert rep.upper_bound == perturbation_upper_bound(genus_upper_bound(h), 100)
     assert rep.upper_bound == 100
     lo = (500 - rep.l * 2) / (rep.l * 4)
     hi = 500 / (rep.l * 2)

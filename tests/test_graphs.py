@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 import tracemalloc
@@ -386,8 +387,8 @@ def _union(pieces, seed: int) -> Graph:
 
 def test_giant_vertices_match_networkx_on_unions() -> None:
     # the 2-core is labelled from the kernel: kernel vertices joined by
-    # chains, chain vertices, rings; every piece kind wins, and ties fall
-    # to whichever piece the shuffle gives the least vertex
+    # chains, chain vertices, bare cycles as loops; every piece kind wins,
+    # and ties fall to whichever piece the shuffle gives the least vertex
     rng = np.random.default_rng(157)
 
     def ring(k):
@@ -573,7 +574,8 @@ def _theta(*inner_counts: int, seed: int = 0) -> Graph:
 
 
 def _rings(*sizes: int, seed: int) -> Graph:
-    """Disjoint cycles of the given sizes: a core with no kernel vertex."""
+    """Disjoint cycles of the given sizes: bare cycles, each one kernel
+    loop at its least vertex."""
     n, edges = 0, []
     for k in sizes:
         edges += [(n + i, n + (i + 1) % k) for i in range(k)]
@@ -585,7 +587,8 @@ def _kernel_fixtures() -> dict[str, Graph]:
     k4 = complete_graph(4)
     k33 = complete_bipartite_graph(3, 3)
     # 0-1-2-3 is a K4 and 4..8 a 5-cycle; the path 0-9-4 hangs the cycle
-    # off vertex 4, a kernel loop; 10..15 is a bare 6-cycle component
+    # off vertex 4, a kernel loop; 10..15 is a bare 6-cycle component, a
+    # loop at its least vertex
     loop_edges = [*k4.edge_list(), *((4 + i, 4 + (i + 1) % 5) for i in range(5)),
                   (0, 9), (9, 4), *((10 + i, 10 + (i + 1) % 6) for i in range(6))]
     # K4 with its edge 0-1 subdivided by 4; pendant trees on the chain
@@ -643,64 +646,84 @@ def test_kernel_search_matches_dfs_and_networkx(monkeypatch) -> None:
                 assert enumerate_cycles(g, max_len) == expect, (name, max_len, entries)
 
 
+def _chain_walks(k) -> list[tuple[int, ...]]:
+    """Each chain of the kernel k as the walk of its vertices, tail to head."""
+    ends = k.vertices.tolist()
+    return [(ends[t], *k.inner[a:b].tolist(), ends[h])
+            for t, h, a, b in zip(k.tail.tolist(), k.head.tolist(), k.offsets[:-1], k.offsets[1:])]
+
+
 def test_kernel_of_a_loop_and_a_ring() -> None:
     g = _kernel_fixtures()["loop and ring"]
     k = kernel(g)
-    assert len(k.vertices) == 5  # the K4 and the loop's attachment vertex
-    assert sorted(k.length.tolist()) == [1, 1, 1, 1, 1, 1, 2, 5]
-    assert np.count_nonzero(k.tail == k.head) == 1
-    assert [len(ring) for ring in k.rings] == [6]
-    assert kernel(_kernel_fixtures()["no vertex of degree 3"]).vertices.size == 0
+    # the K4, the loop's attachment vertex and the least vertex of the ring
+    assert len(k.vertices) == 6
+    assert sorted(k.length.tolist()) == [1, 1, 1, 1, 1, 1, 2, 5, 6]
+    loops = [w for w in _chain_walks(k) if w[0] == w[-1]]
+    assert sorted(map(len, loops)) == [6, 7]
+    ring = loops[0] if len(loops[0]) == 7 else loops[1]
+    # the ring leaves its least vertex towards the smaller neighbour
+    assert ring[0] == min(ring) and ring[1] < ring[-2]
+    k = kernel(_kernel_fixtures()["no vertex of degree 3"])
+    assert k.vertices.tolist() == [0, 8]
+    assert _chain_walks(k) == [(0, 1, 2, 3, 4, 0), (8, 9, 10, 11, 8)]
 
 
 def test_kernel_partitions_the_core() -> None:
+    with_bare = set()
     for seed in range(40):
         n = 10 + 7 * seed
         g = gnm(n, n * (3 + seed % 5) // 6, seed=seed)
         core = two_core(g)
         deg = np.zeros(g.n, dtype=np.int64)
         deg[core.old_labels] = core.graph.degrees()
+        components = {}
+        for v, c in zip(core.old_labels.tolist(), core.graph.component_labels().tolist()):
+            components.setdefault(c, []).append(v)
+        bare = [min(c) for c in components.values() if all(deg[v] == 2 for v in c)]
+        with_bare.add(bool(bare))
         k = kernel(g)
-        assert k.vertices.tolist() == np.flatnonzero(deg >= 3).tolist()
-        ends = k.vertices.tolist()
-        inner = [k.inner[a:b].tolist() for a, b in zip(k.offsets[:-1], k.offsets[1:])]
-        walks = [(ends[t], *mid, ends[h]) for t, h, mid in zip(k.tail.tolist(), k.head.tolist(), inner)]
-        walks += [(*ring, ring[0]) for ring in k.rings]
-        # every core edge on exactly one chain or ring
+        assert k.vertices.tolist() == sorted(np.flatnonzero(deg >= 3).tolist() + bare)
+        walks = _chain_walks(k)
+        # every core edge on exactly one chain
         edges = sorted((min(a, b), max(a, b)) for w in walks for a, b in zip(w, w[1:]))
         assert edges == sorted(map(tuple, core.old_labels[core.graph.edge_array].tolist()))
-        assert k.length.tolist() == [len(mid) + 1 for mid in inner]
-        assert k.length.sum() + sum(map(len, k.rings)) == core.graph.m
-        for mid in inner:
-            assert all(deg[v] == 2 for v in mid)
-        for ring in k.rings:
-            assert all(deg[v] == 2 for v in ring)
-            assert ring[0] == min(ring) and ring[1] < ring[-1]
+        assert k.length.tolist() == [len(w) - 1 for w in walks]
+        assert k.length.sum() == core.graph.m
+        for w in walks:
+            assert all(deg[v] == 2 for v in w[1:-1])
+            if deg[w[0]] == 2:  # a bare cycle, from its least vertex
+                assert w[0] == w[-1] == min(w) and w[1] < w[-2]
+    assert with_bare == {True, False}
 
 
 def test_kernel_matches_a_chain_walk() -> None:
-    # pointer jumping stops after the first round that ends no chain dart,
-    # while ring darts step on; graphs with rings and without, and chains
-    # of every length near a power of two, must give what walking each
-    # chain to its end gives
+    # pointer jumping stops once every dart's last dart ends at a kernel
+    # vertex; graphs with bare cycles and without, and chains of every
+    # length near a power of two, must give what walking each chain to its
+    # end gives
     cases = dict(_kernel_fixtures())
     cases["rings"] = _rings(3, 4, 7, 8, 2000, seed=7)
     cases["theta of every length"] = _theta(*range(34), seed=9)
     cases["theta near powers of two"] = _theta(0, 1, 2, 3, 4, 7, 8, 9, 255, 256, 257, seed=10)
     cases["long theta"] = _theta(1, 2000, 4, seed=8)
+    cases["cycle"] = cycle_graph(10**5)
     for seed in range(60):
         n = 20 + 11 * seed
         cases[("gnm", n)] = gnm(n, n * (4 + seed % 8) // 8, seed=(151, seed))
-    with_rings = set()
+    mixed = set()
     for name, g in cases.items():
         k = kernel(g)
-        vertices, tails, heads, inners, rings = kernel_walk(g)
+        vertices, tails, heads, inners = kernel_walk(g)
         assert k.vertices.tolist() == vertices, name
         assert (k.tail.tolist(), k.head.tolist()) == (tails, heads), name
         assert [k.inner[a:b].tolist() for a, b in zip(k.offsets[:-1], k.offsets[1:])] == inners, name
-        assert list(k.rings) == rings, name
-        with_rings.add(bool(rings) and bool(tails))
-    assert with_rings == {True, False}
+        bare = _core_degrees(g)[k.vertices] == 2
+        mixed.add(bool(bare.any() and (~bare).any()))
+    assert mixed == {True, False}
+    k = kernel(cases["cycle"])  # one loop through every vertex
+    assert k.vertices.tolist() == [0] and k.length.tolist() == [10**5]
+    assert np.array_equal(k.inner, np.arange(1, 10**5))
 
 
 def test_kernel_is_built_once_and_read_only() -> None:
@@ -713,12 +736,12 @@ def test_kernel_is_built_once_and_read_only() -> None:
         enumerate_cycles(h, 6)
         assert kernel(h) is k, name
         fresh = kernel(Graph(g.n, g.edge_array))
-        for field in ("vertices", "tail", "head", "offsets", "inner"):
-            a, b = getattr(k, field), getattr(fresh, field)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (name, field)
+        # every field is an array, read-only and equal to a fresh build's
+        for field in dataclasses.fields(k):
+            a, b = getattr(k, field.name), getattr(fresh, field.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, field.name)
             with pytest.raises(ValueError):
                 a[...] = 0
-        assert k.rings == fresh.rings and isinstance(k.rings, tuple), name
 
 
 def test_cycles_of_a_graph_are_the_cycles_of_its_core() -> None:
