@@ -23,24 +23,29 @@ gather from one n-long map in the CSR index dtype.  kernel pairs each
 core dart with its reverse by inverting one argsort, takes the least
 vertex of each bare cycle as a kernel vertex, so that every core edge lies
 on a chain, and finds the chains by pointer jumping over the core darts
-until every dart reaches a kernel vertex; enumerate_cycles grows path
-prefixes over the kernel as arrays, in batches of at most EXPAND_SLICE,
-and builds vertex tuples only for the cycles it finds.  Its roots run in
-blocks, each with a direct index of at most INDEX_ENTRIES entries over
-the sorted kernel darts: a prefix starts at the first dart of its end
-past its root, and the darts that close a step are read by two gathers,
-with no search.
+until every dart reaches a kernel vertex.  enumerate_cycles lists the
+triangles (max_length 3) from the edges alone, with no peel and no
+kernel: each edge points from the lower to the higher (degree, label)
+rank, and a wedge x -> y -> z along such edges is a triangle when the
+edge x -> z is among the sorted oriented-edge keys, so no vertex expands
+more than sqrt(2m) out-neighbours.  At every longer bound it grows path
+prefixes over the kernel as arrays, and builds vertex tuples only for
+the cycles it finds.  Its roots run in blocks, each with a direct index
+of at most INDEX_ENTRIES entries over the sorted kernel darts: a prefix
+starts at the first dart of its end past its root, and the darts that
+close a step are read by two gathers, with no search.  Both expand at
+most EXPAND_SLICE prefixes, or oriented edges, at a time.
 
 A Graph caches its component labels, the read-only result of its 2-core
 peel (_peel: the core degrees behind two_core and kernel, the forest, and
 the count of vertices the forest maps to each vertex, behind
 giant_vertices and the cycle census) and its kernel, with read-only
-arrays, behind giant_vertices and enumerate_cycles; each is computed at
-most once, whichever function asks first.  It also holds, in
-_cored, the cored piece decompositions that fragile.fragile_experiment
-computed for it as a base graph, one per (l, Delta).  A Graph is
-immutable, so no cache is ever invalidated, and none takes part in == or
-hash.
+arrays, behind giant_vertices and the kernel search of enumerate_cycles;
+each is computed at most once, whichever function asks first.  It also
+holds, in _cored, the cored piece decompositions that
+fragile.fragile_experiment computed for it as a base graph, one per
+(l, Delta).  A Graph is immutable, so no cache is ever invalidated, and
+none takes part in == or hash.
 
 Integer arrays are deduplicated by _distinct, one sort and a comparison
 of neighbours: numpy 2's np.unique hashes instead, which is many times
@@ -640,11 +645,12 @@ def giant_component(G: Graph) -> InducedSubgraph:
     return induced_subgraph(G, giant_vertices(G))
 
 
-# Most path prefixes enumerate_cycles expands at once.  This bounds one
-# expansion, not the search: its stack keeps one remainder batch per depth,
-# so the peak memory grows with max_length.
+# Most path prefixes the kernel search expands at once, and most oriented
+# edges whose wedges the triangle listing expands at once.  This bounds one
+# expansion, not the kernel search: its stack keeps one remainder batch per
+# depth, so the peak memory grows with max_length.
 EXPAND_SLICE = 512
-# Most entries of the dart index enumerate_cycles builds for one block of
+# Most entries of the dart index the kernel search builds for one block of
 # roots; at least (N + 1)**2 keeps a kernel of N vertices in one block.
 INDEX_ENTRIES = 1 << 18
 
@@ -656,10 +662,69 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     and v1 < v_{k-1}; each cycle appears exactly once, and the list is
     sorted.  Raises CycleBudgetError if there are more than cap cycles.
 
-    The search runs on the kernel.  A cycle is a loop, a bare cycle
-    included, or a closed path of two or more chains through distinct
-    kernel vertices.  Such a
-    path is rooted at its least kernel vertex r and kept in the orientation
+    At max_length 3 the cycles are the triangles, listed from G's edges by
+    _triangles, with no kernel built.  Every longer bound runs the kernel
+    search, _kernel_cycles.
+    """
+    if max_length < 3:
+        return []
+    if max_length == 3:
+        return _triangles(G, cap)
+    return _kernel_cycles(G, max_length, cap)
+
+
+def _triangles(G: Graph, cap: int) -> list[tuple[int, ...]]:
+    """The triangles of G, as enumerate_cycles lists them, by degree-ordered
+    wedges (Chiba and Nishizeki, "Arboricity and subgraph listing
+    algorithms", SIAM J. Comput. 1985; Latapy, "Main-memory triangle
+    computations for very large (sparse (power-law)) graphs", TCS 2008).
+
+    Each edge is oriented from the lower to the higher (degree, label)
+    rank, so no vertex has more than sqrt(2m) out-neighbours, and each
+    triangle is found once, as the wedge x -> y -> z along oriented edges
+    from its lowest-ranked vertex x whose closing edge x -> z exists.  The
+    oriented edges are sorted by their keys x*n + y; the wedges of at most
+    EXPAND_SLICE of them are expanded at once, each closing edge is looked
+    up in the keys by one searchsorted, and the count is checked against
+    cap after each slice.  So a slice holds at most EXPAND_SLICE * sqrt(2m)
+    wedges, and the whole listing at most m * sqrt(2m).
+    """
+    n, edges = G._n, G._edges
+    deg = G.degrees()
+    lo, hi = edges[:, 0], edges[:, 1]
+    up = deg[lo] <= deg[hi]  # lo < hi, so lo ranks lower unless its degree is larger
+    keys = np.where(up, lo, hi) * n + np.where(up, hi, lo)
+    keys.sort()
+    tails, heads = np.divmod(keys, n)
+    ptr = np.searchsorted(tails, np.arange(n + 1))
+    first, counts = ptr[heads], ptr[heads + 1] - ptr[heads]
+    # the key n*n lies past every wedge's, so no search runs off the end
+    keys = np.append(keys, n * n)
+    found = [np.empty((0, 3), dtype=np.int64)]
+    count = 0
+    for s in range(0, heads.size, EXPAND_SLICE):
+        c = counts[s:s + EXPAND_SLICE]
+        edge = np.repeat(np.arange(s, s + c.size), c)  # x -> y of each wedge
+        z = heads[_ranges(first[s:s + EXPAND_SLICE], c)]
+        q = tails[edge] * n + z
+        closed = keys[np.searchsorted(keys, q)] == q
+        edge, z = edge[closed], z[closed]
+        count += z.size
+        if count > cap:
+            raise CycleBudgetError(cap, 3)
+        found.append(np.column_stack([tails[edge], heads[edge], z]))
+    tri = np.concatenate(found)
+    tri.sort(axis=1)
+    tri = tri[np.lexsort(tri.T[::-1])]
+    return list(zip(*tri.T.tolist()))
+
+
+def _kernel_cycles(G: Graph, max_length: int, cap: int) -> list[tuple[int, ...]]:
+    """enumerate_cycles by a search of the kernel, for any max_length >= 3.
+
+    A cycle is a loop, a bare cycle included, or a closed path of two or
+    more chains through distinct kernel vertices.  Such a path is rooted
+    at its least kernel vertex r and kept in the orientation
     whose first chain id is below its closing chain id.  The roots run in
     consecutive blocks, and the paths from the roots of a block grow
     together, one chain per step, as arrays of prefixes: a prefix steps
@@ -683,8 +748,6 @@ def enumerate_cycles(G: Graph, max_length: int, cap: int = CYCLE_CAP) -> list[tu
     grows with max_length.
     Vertex tuples are built only for the cycles found.
     """
-    if max_length < 3:
-        return []
     K = kernel(G)
     length = K.length
     loop = K.tail == K.head
@@ -841,8 +904,12 @@ def load_edge_list(path) -> Graph:
 # -- small named constructors used by fixtures, tests, and the CLI --
 
 def path_graph(n: int) -> Graph:
-    i = np.arange(max(n - 1, 0))
-    return Graph(n, np.column_stack([i, i + 1]))
+    n = int(n)
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    # the pairs (i, i + 1) are already in colex order
+    i = np.arange(max(n - 1, 0), dtype=np.int64)
+    return Graph._from_canonical(n, np.column_stack([i, i + 1]))
 
 
 def cycle_graph(n: int) -> Graph:

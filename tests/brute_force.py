@@ -42,6 +42,13 @@ def brute_cycles(G: Graph, max_length: int) -> set[tuple[int, ...]]:
     return found
 
 
+def brute_triangles(G: Graph) -> set[tuple[int, int, int]]:
+    """Every triangle (u, v, w), u < v < w, from the neighbour sets: the
+    common neighbours above v of each edge u < v."""
+    nbrs = [set(a) for a in G.adjacency_lists()]
+    return {(u, v, w) for u, v in G.edge_list() for w in nbrs[u] & nbrs[v] if w > v}
+
+
 def rotation_space(G: Graph) -> int:
     """Number of rotation systems of G: (deg(v) - 1)! per vertex."""
     return math.prod(math.factorial(max(int(d) - 1, 0)) for d in G.degrees())

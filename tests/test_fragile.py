@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 from collections import Counter
 
@@ -26,7 +27,7 @@ from genuslab import (
     trial_rng,
     uniform_pairs,
 )
-from genuslab import fragile
+from genuslab import embeddings, fragile, graphs
 from genuslab.cli import _random_tree
 from brute_force import bfs_cores, bfs_pieces, contract_reference, nx_density_bound
 from showcases import amplification_showcase
@@ -245,6 +246,41 @@ def test_fragile_experiment_dense_branch() -> None:
     # the density bound of the random edges alone, the pairs drawn by seed
     assert rep.genus_lower_gamma == nx_density_bound(Graph(50, uniform_pairs(50, 400, 5)))
     assert rep.upper_bound == 400  # base path is planar
+
+
+def test_the_triangle_census_stays_behind_enumerate_cycles(monkeypatch) -> None:
+    # a traced fragile bench run reads the triangle count from the calls of
+    # graphs.enumerate_cycles and checks it against trace(A^3)/6, so both
+    # the trial and the bound on its quotient must call it, once, at ell = 3
+    quotients, calls = [], []
+    bound, enumerate_cycles = fragile.genus_lower_bound_short_cycles, graphs.enumerate_cycles
+
+    def recorded(gamma, ell):
+        quotients.append(gamma)
+        return bound(gamma, ell)
+
+    def counted(G, max_length, cap=graphs.CYCLE_CAP):
+        out = enumerate_cycles(G, max_length, cap)
+        calls.append((max_length, len(out)))
+        return out
+
+    monkeypatch.setattr(fragile, "genus_lower_bound_short_cycles", recorded)
+    # every module that binds the name, as the bench's tracer patches them
+    for name in ("genuslab", *(f"genuslab.{m}" for m in ("graphs", "embeddings", "census", "fragile"))):
+        module = importlib.import_module(name)
+        if getattr(module, "enumerate_cycles", None) is enumerate_cycles:
+            monkeypatch.setattr(module, "enumerate_cycles", counted)
+    fragile_experiment(path_graph(10**5), 2, 5000, seed=7, ell=3)
+    (gamma,) = quotients
+    adj = np.zeros((gamma.n, gamma.n))
+    adj[gamma.edge_array[:, 0], gamma.edge_array[:, 1]] = 1.0
+    adj += adj.T
+    triangles = round(np.trace(adj @ adj @ adj) / 6)
+    assert triangles > 1000
+    assert calls == [(3, triangles)]
+    calls.clear()
+    embeddings.genus_lower_bound_short_cycles(gamma, 3)
+    assert calls == [(3, triangles)]
 
 
 def test_good_edge_rate_across_trials() -> None:

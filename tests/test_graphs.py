@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import pickle
 import tracemalloc
 
@@ -30,12 +31,21 @@ from genuslab import (
     path_graph,
     two_core,
 )
+from genuslab import fragile
 from genuslab.acceptance import KAPPA_LAMBDAS, named_fixtures
 from genuslab.census import classify_cycle_neighborhood
 from genuslab.cli import _random_tree
 from genuslab.fragile import PieceDecomposition, build_quotient
-from genuslab.graphs import INDEX_ENTRIES, _core_degrees, _distinct, _index_dtype, _peel
-from brute_force import brute_cycles, dfs_cycles, kernel_walk, same_csr
+from genuslab.graphs import (
+    CYCLE_CAP,
+    INDEX_ENTRIES,
+    _core_degrees,
+    _distinct,
+    _index_dtype,
+    _kernel_cycles,
+    _peel,
+)
+from brute_force import brute_cycles, brute_triangles, dfs_cycles, kernel_walk, same_csr
 from showcases import census_showcase
 
 
@@ -730,6 +740,8 @@ def test_kernel_is_built_once_and_read_only() -> None:
     cases = {**_kernel_fixtures(), "gnm": gnm(300, 330, seed=(151, 1)), "empty": Graph(0)}
     for name, g in cases.items():
         h = Graph(g.n, g.edge_array)
+        enumerate_cycles(h, 3)  # lists triangles from the edges alone
+        assert h._kernel is None and h._peeled is None, name
         if h.n:
             giant_vertices(h)  # builds the kernel the cycle search reads
         k = kernel(h)
@@ -789,8 +801,9 @@ def test_core_degrees_are_peeled_once_and_read_only() -> None:
 
 def test_cycle_cap_is_exact() -> None:
     sparse = _kernel_fixtures()["subdivided K3,3"]
-    # the dense graph's cycles are found over several batches of prefixes
-    for g, max_len in ((sparse, sparse.n), (gnm(50, 400, seed=(97, 50)), 4)):
+    # the dense graph's cycles are found over several batches of prefixes,
+    # and the triangles of 1,500 edges over three slices of oriented edges
+    for g, max_len in ((sparse, sparse.n), (gnm(50, 400, seed=(97, 50)), 4), (gnm(120, 1500, seed=(41, 1)), 3)):
         cycles = enumerate_cycles(g, max_len)
         assert enumerate_cycles(g, max_len, cap=len(cycles)) == cycles
         with pytest.raises(CycleBudgetError):
@@ -814,16 +827,18 @@ def test_cycle_cap_is_exact_in_a_later_root_block(monkeypatch) -> None:
 
 
 def test_cycle_cap_bounds_the_memory_of_a_dense_search() -> None:
-    # expanding whole levels of path prefixes at once peaks near 4 MB here
-    g = complete_graph(13)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CycleBudgetError):
-            enumerate_cycles(g, 13, cap=10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_500_000
+    # expanding whole levels of path prefixes at once peaks near 4 MB on
+    # K13; K60 has 34,220 triangles and as many wedges, and expanding them
+    # all at once peaks near 1.5 MB, its first slice near 0.65 MB
+    for g, max_len, bound in ((complete_graph(13), 13, 2_500_000), (complete_graph(60), 3, 1_000_000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CycleBudgetError):
+                enumerate_cycles(g, max_len, cap=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (max_len, peak)
 
 
 def test_cycle_cap_bounds_the_memory_of_a_multi_block_search() -> None:
@@ -840,6 +855,92 @@ def test_cycle_cap_bounds_the_memory_of_a_multi_block_search() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def _bench_quotients(monkeypatch, seeds) -> list[Graph]:
+    """The core quotients that fragile_experiment(path_graph(10**5), 2,
+    5000, seed), the fragile bench trial, bounds at ell = 3."""
+    quotients = []
+    bound = fragile.genus_lower_bound_short_cycles
+
+    def record(gamma, ell):
+        quotients.append(gamma)
+        return bound(gamma, ell)
+
+    monkeypatch.setattr(fragile, "genus_lower_bound_short_cycles", record)
+    base = path_graph(10**5)
+    for seed in seeds:
+        fragile.fragile_experiment(base, 2, 5000, seed)
+    monkeypatch.undo()
+    return quotients
+
+
+def _assert_triangles(g: Graph, name) -> list[tuple[int, ...]]:
+    """enumerate_cycles(g, 3) against the set-based triangles and the
+    kernel search at length 3, on a fresh copy that has built no kernel."""
+    got = enumerate_cycles(g, 3)
+    assert got == sorted(brute_triangles(g)), name
+    assert got == _kernel_cycles(Graph(g.n, g.edge_array), 3, CYCLE_CAP), name
+    return got
+
+
+def test_triangles_match_the_oracles(corpus6, fixtures) -> None:
+    # gnm draws whose density runs from empty to complete, on at most 24
+    # vertices so that the tuple scan of brute_cycles stays cheap
+    rng = np.random.default_rng(37)
+    cases = {("corpus6", i): g for i, g in enumerate(corpus6)} | fixtures
+    for i in range(60):
+        n = int(rng.integers(4, 25))
+        cases[("gnm", i)] = gnm(n, round(i / 59 * math.comb(n, 2)), seed=(37, i))
+    complete = 0
+    for name, g in cases.items():
+        got = _assert_triangles(g, name)
+        assert set(got) == brute_cycles(g, 3), name
+        complete += name[0] == "gnm" and len(got) == math.comb(g.n, 3)
+    assert complete
+
+
+def test_triangles_of_the_bench_quotients(monkeypatch) -> None:
+    seeds = np.random.SeedSequence(1).generate_state(8).tolist()
+    for seed, gamma in zip(seeds, _bench_quotients(monkeypatch, seeds)):
+        assert len(_assert_triangles(gamma, seed)) > 1000, seed
+
+
+def test_triangles_are_the_same_in_slices_of_any_size(monkeypatch) -> None:
+    # each slice of oriented edges ends with a check of the cap, so the cap
+    # is exact in every slice, and the list is the same whatever the slice
+    g = gnm(120, 1500, seed=(41, 1))
+    cycles = _kernel_cycles(g, 3, CYCLE_CAP)
+    for size in (1, 7, 512):
+        monkeypatch.setattr("genuslab.graphs.EXPAND_SLICE", size)
+        assert enumerate_cycles(g, 3, cap=len(cycles)) == cycles, size
+        for cap in (0, len(cycles) // 2, len(cycles) - 1):
+            with pytest.raises(CycleBudgetError) as err:
+                enumerate_cycles(g, 3, cap=cap)
+            assert (err.value.cap, err.value.max_length) == (cap, 3)
+    assert enumerate_cycles(complete_bipartite_graph(3, 4), 3, cap=0) == []
+
+
+def test_hubs_list_their_triangles_in_bounded_memory() -> None:
+    # edges oriented by label alone would send every vertex below a hub at
+    # a middle label into it and the hub on to every vertex above, about
+    # (n/2)**2 wedges at the star's hub (a peak near 42 MB, 11 MB on the
+    # wheel); by degree the hub has no out-neighbour
+    hub, n = 2000, 4001
+    star = Graph(n, [(hub, v) for v in range(n) if v != hub] + [(0, n - 1)])
+    rim = [v for v in range(n) if v != hub]
+    wheel = Graph(n, [(hub, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1])))
+    cases = {"star": (star, 1), "K2,2000": (complete_bipartite_graph(2, 2000), 0), "wheel": (wheel, n - 1)}
+    for name, (g, count) in cases.items():
+        tracemalloc.start()
+        try:
+            got = enumerate_cycles(g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (name, peak)
+        assert len(got) == count and got == sorted(brute_triangles(g)), name
+    assert enumerate_cycles(star, 3) == [(0, hub, n - 1)]
 
 
 def test_distinct_matches_numpy_unique() -> None:
@@ -905,10 +1006,12 @@ def test_standard_constructors() -> None:
     assert g.m == 7
     with pytest.raises(GraphError):
         cycle_graph(2)
+    with pytest.raises(GraphError):
+        path_graph(-1)
 
 
 def test_named_constructors_equal_their_list_built_forms() -> None:
-    for n in range(8):
+    for n in [*range(8), 10**5]:
         assert same_csr(path_graph(n), Graph(n, [(i, i + 1) for i in range(n - 1)])), n
     for n in range(3, 9):
         assert same_csr(cycle_graph(n), Graph(n, [(i, (i + 1) % n) for i in range(n)])), n
